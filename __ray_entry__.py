@@ -516,8 +516,8 @@ def _q_overlay_area(sf_dir: str):
 
 def _q_copresence(sf_dir: str):
     """Spatio-temporal co-occurrence: user pairs seen in the same cell in
-    the same hour, with meeting counts.  Distinct (cell, day, user) keys
-    collapse per batch, one (cell, day) exchange, vectorized per-group
+    the same hour, with meeting counts.  Distinct (cell, hour, user) keys
+    collapse per batch, one (cell, hour) exchange, vectorized per-group
     self-merge — co-visitation analysis."""
     from rasterflow.pipelines.points import events_points
     from rasterflow.pipelines.trajectory import copresence_pairs

@@ -11,9 +11,12 @@ flips parity.  The ``>`` / ``<`` asymmetry makes the boundary half-open so a
 point on a shared border is assigned to at most one polygon deterministically
 (SURVEY.md §2.7.3).  Multi-ring polygons XOR ring parities (even-odd fill).
 
-Vectorized over *points* with a Python loop over *edges* — polygons are the
-small broadcast side (tens of vertices), points come in 10^4-10^5-row batches,
-so the inner ops are numpy over the long axis.
+``points_in_ring`` / ``pip_pairs`` vectorize over *points* with a Python loop
+over *edges* — polygons are the small broadcast side (tens of vertices),
+points come in 10^4-10^5-row batches, so the inner ops are numpy over the long
+axis.  ``pip_edge_lists`` instead takes a short precomputed edge list per pair
+(the hybrid join's per-border-cell lists) and runs one flat pass over every
+(pair, edge) row.
 """
 
 from __future__ import annotations
@@ -133,6 +136,76 @@ def _pip_pairs_edge_parallel(
             inside ^= cond & (tx < xint)
     finally:
         np.seterr(**old)
+    return inside
+
+
+def edge_prev(ring_offsets: np.ndarray, nverts: int) -> np.ndarray:
+    """Index of vertex ``i``'s predecessor in its ring, so edge ``i`` is
+    ``(v_i, v_prev[i])`` — the (vi, vj) order of every kernel here."""
+    prev = np.arange(-1, nverts - 1, dtype=np.int64)
+    starts = np.asarray(ring_offsets[:-1], dtype=np.int64)
+    ends = np.asarray(ring_offsets[1:], dtype=np.int64)
+    nonempty = ends > starts
+    prev[starts[nonempty]] = ends[nonempty] - 1
+    return prev
+
+
+def edge_table(verts: np.ndarray, ring_offsets: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """(4, V) per-edge rows ``vix, viy, vjy, k`` in ``dtype``, one column per
+    vertex (edge ``i`` ends at its ring predecessor).  ``k`` is the k-form
+    slope of ``points_in_ring``, computed from the ``dtype``-cast vertices, so
+    a crossing test over these columns matches ``pip_pairs`` bit for bit.
+    Field-major, so one ``np.take(..., axis=1)`` gathers four contiguous
+    rows."""
+    v = np.asarray(verts, dtype)
+    prev = edge_prev(ring_offsets, len(v))
+    tab = np.empty((4, len(v)), dtype=dtype)
+    tab[0] = v[:, 0]
+    tab[1] = v[:, 1]
+    tab[2] = v[prev, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tab[3] = (v[prev, 0] - v[:, 0]) / (tab[2] - tab[1])
+    return tab
+
+
+def pip_edge_lists(
+    px: np.ndarray,
+    py: np.ndarray,
+    pair_point: np.ndarray,
+    edge_start: np.ndarray,
+    edge_stop: np.ndarray,
+    edge_ids: np.ndarray,
+    edges: np.ndarray,
+) -> np.ndarray:
+    """PIP for (point, polygon) pairs whose parity-relevant edges are known.
+
+    Pair ``i`` is tested against ``edge_ids[edge_start[i]:edge_stop[i]]``
+    only (columns of ``edges``, from :func:`edge_table`); every other edge of
+    the polygon must be unable to flip parity for that point.  One flat pass
+    over all (pair, edge) rows with the crossing test of ``points_in_ring``,
+    then parity per pair by ``logical_xor.reduceat``.  Arithmetic runs in
+    ``edges``' dtype.
+    """
+    inside = np.zeros(len(pair_point), dtype=bool)
+    counts = edge_stop - edge_start
+    total = int(counts.sum())
+    if total == 0:
+        return inside
+    row_start = np.cumsum(counts) - counts
+    pos = np.repeat(edge_start - row_start, counts) + np.arange(total, dtype=row_start.dtype)
+    vix, viy, vjy, k = np.take(edges, np.take(edge_ids, pos), axis=1)
+    tx = np.repeat(np.take(np.asarray(px, edges.dtype), pair_point), counts)
+    ty = np.repeat(np.take(np.asarray(py, edges.dtype), pair_point), counts)
+    cond = viy > ty
+    np.not_equal(cond, vjy > ty, out=cond)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # horizontal edges (k = ±inf/nan) have cond False already
+        xint = ty - viy
+        xint *= k
+        xint += vix
+    cond &= tx < xint
+    nonempty = counts > 0
+    inside[nonempty] = np.logical_xor.reduceat(cond, row_start[nonempty])
     return inside
 
 

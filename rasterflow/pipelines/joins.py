@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from ..geom.pip import pip_pairs
+from ..geom.pip import pip_edge_lists, pip_pairs
 from ..state.bundle import PolygonBundle, build_bundle
 from ..util import grouped_aggregate, streaming_group_sum
 
@@ -118,7 +118,14 @@ class SpatialJoinAgg:
 
     @staticmethod
     def _expand(indptr: np.ndarray, values: np.ndarray, idx: np.ndarray, hit: np.ndarray):
-        """CSR expansion given pre-located unified-cell positions.
+        """CSR expansion given pre-located unified-cell positions."""
+        point_idx, val_idx = SpatialJoinAgg._expand_idx(indptr, len(values), idx, hit)
+        return point_idx, values[val_idx]
+
+    @staticmethod
+    def _expand_idx(indptr: np.ndarray, nvalues: int, idx: np.ndarray, hit: np.ndarray):
+        """``(point_idx, val_idx)`` of the CSR expansion: ``val_idx`` indexes
+        the value array (and anything aligned with it).
 
         int32 index arithmetic: a batch has < 2^31 rows and the bundle's
         value arrays are bounded by max_cover_cells — expansion indices are
@@ -128,26 +135,27 @@ class SpatialJoinAgg:
         counts = np.where(hit, indptr[idx + 1] - starts, 0)
         total = int(counts.sum())
         if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         idx_t = np.int32 if len(idx) < 2**31 else np.int64
         # val_t arrays (within / run_starts) hold values up to `total`, the
         # expanded pair count — not len(values) — so the narrowing test must
         # use total or np.arange wraps silently (ADVICE r2)
-        val_t = np.int32 if total < 2**31 and len(values) < 2**31 else np.int64
+        val_t = np.int32 if total < 2**31 and nvalues < 2**31 else np.int64
         point_idx = np.repeat(np.arange(len(idx), dtype=idx_t), counts)
         run_ends = np.cumsum(counts)
         run_starts = (run_ends - counts).astype(val_t, copy=False)
         within = np.arange(total, dtype=val_t) - np.repeat(run_starts, counts)
         val_idx = np.repeat(starts.astype(val_t, copy=False), counts) + within
-        return point_idx, values[val_idx]
+        return point_idx, val_idx
 
     def _match_pairs(self, x, y, lin) -> tuple[np.ndarray, np.ndarray]:
         """(point_idx, poly_id) matched pairs under the strategy's semantics.
 
-        One binary search on the unified cell table serves candidate lists,
-        cover lists and the border flag."""
+        One lookup in the unified cell table serves candidate lists, cover
+        lists and the border flag.  ``index`` tests every candidate pair
+        against every edge of its polygon (``pip_pairs``, the oracle);
+        ``hybrid`` tests border pairs only against their cell's edge list."""
         b = self.b
-        pip_dtype = None if self.dtype == np.float64 else self.dtype
         if len(b.ucells) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
         idx, hit = b.locate_ucells(lin)
@@ -155,6 +163,7 @@ class SpatialJoinAgg:
             return self._expand(b.ucover_indptr, b.ucover_vals, idx, hit)
         if self.how == "index":
             pts, pl = self._expand(b.ucand_indptr, b.ucand_vals, idx, hit)
+            pip_dtype = None if self.dtype == np.float64 else self.dtype
             m = pip_pairs(x, y, pts, pl, b.verts, b.ring_offsets, b.poly_ring_offsets, dtype=pip_dtype)
             return pts[m], pl[m]
         # hybrid: exact — cover fast path off-border, PIP refinement on border
@@ -162,10 +171,11 @@ class SpatialJoinAgg:
         idx_border = np.flatnonzero(is_b)
         idx_int = np.flatnonzero(~is_b)
         pts_i, pl_i = self._expand(b.ucover_indptr, b.ucover_vals, idx[idx_int], hit[idx_int])
-        pts_b, pl_b = self._expand(b.ucand_indptr, b.ucand_vals, idx[idx_border], hit[idx_border])
-        m = pip_pairs(
-            x[idx_border], y[idx_border], pts_b, pl_b, b.verts, b.ring_offsets,
-            b.poly_ring_offsets, dtype=pip_dtype,
+        pts_b, slot = self._expand_idx(b.ucand_indptr, len(b.ucand_vals), idx[idx_border], hit[idx_border])
+        pl_b = b.ucand_vals[slot]
+        m = pip_edge_lists(
+            x[idx_border], y[idx_border], pts_b, b.uedge_start[slot], b.uedge_stop[slot],
+            b.uedge_ids, b.edge_table(self.dtype),
         )
         return (
             np.concatenate([idx_int[pts_i], idx_border[pts_b[m]]]),
@@ -224,12 +234,7 @@ class SpatialJoinRows:
         self.id_col = id_col
         self.keep_cols = keep_cols
         self.dtype = np.dtype(dtype)
-        self._agg = SpatialJoinAgg.__new__(SpatialJoinAgg)
-        self._agg.b = self.b
-        self._agg.how = how
-        self._agg.value_col = None
-        self._agg.fixed_point = False
-        self._agg.dtype = self.dtype
+        self._agg = SpatialJoinAgg(self.b, how=how, dtype=self.dtype)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         b = self.b

@@ -222,11 +222,18 @@ def dbscan(
     O(ε-graph nodes) — the dup-graph scale class, NOT the corpus; for
     corpora where even that exceeds the driver, swap the CC fold for
     ``dedup._cc_large_small_star`` over the core-core pair Dataset (same
-    two-column contract)."""
+    two-column contract).
+
+    ``min_pts`` must be at least 2: degrees come from the ε-pair stream, so a
+    point with no neighbor never appears there and could not become core
+    under ``min_pts <= 1`` (where DBSCAN makes every point core).  Raises
+    ``ValueError`` for ``min_pts < 2``."""
     import ray.data
 
     from ..util import coalesce_small, grouped_aggregate
 
+    if min_pts < 2:
+        raise ValueError(f"dbscan needs min_pts >= 2 (isolated points never reach the pair stream), got {min_pts}")
     pairs = distance_join_pairs(points_ds, eps, id_col=id_col, sort=False).materialize()
 
     # degrees DISTRIBUTED: per-batch endpoint collapse, one collapsed-key

@@ -11,6 +11,9 @@ Packs, for one (layer, canvas grid) pair, everything a join actor needs:
 - ``border`` mask: any polygon outline cell, dilated by 1 cell (the 3×3
   ``isBorder`` test of ``shaders/hybrid.glsl:174-185`` /
   ``HybridJoin::drawOutline``),
+- ``uedge`` CSR: per border (cell, poly) entry of ``cand``, the polygon's
+  edges that can flip PIP parity for a point in that cell, so the hybrid
+  join's exact test reads ~10 edges instead of the whole polygon,
 - per-(border-cell, poly) area fractions, built lazily for error bounds.
 
 The bundle is a plain dict of numpy arrays: built once on the driver (pure
@@ -27,6 +30,7 @@ import threading
 import numpy as np
 
 from ..geom.cells import Grid
+from ..geom.pip import edge_prev, edge_table
 from ..geom.polyio import PolygonLayer
 from ..geom.projection import accuracy_to_cell_size
 from ..geom.rasterize import area_fraction_inside, classify_polygon_cells, dilate_cells
@@ -159,6 +163,10 @@ class PolygonBundle:
             self.uborder = np.zeros(len(cells), dtype=bool)
             if len(border_cells):
                 self.uborder[np.searchsorted(cells, border_cells)] = True
+        self.uedge_start, self.uedge_stop, self.uedge_ids = border_edge_lists(
+            self.verts, self.ring_offsets, self.poly_ring_offsets, grid,
+            self.ucells, self.ucand_indptr, self.ucand_vals, self.uborder,
+        )
         self._build_table()
         self._area_frac: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if build_area_fractions:
@@ -224,9 +232,19 @@ class PolygonBundle:
         hit = pos >= 0
         return np.where(hit, pos, 0), hit
 
+    def edge_table(self, dtype=np.float64) -> np.ndarray:
+        """Per-edge crossing coefficients in ``dtype`` for ``pip_edge_lists``,
+        built lazily once per process (a few hundred KB; not pickled)."""
+        tables = self.__dict__.setdefault("_edge_tables", {})
+        key = np.dtype(dtype).str
+        if key not in tables:
+            tables[key] = edge_table(self.verts, self.ring_offsets, dtype)
+        return tables[key]
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_ucell_index", None)
+        state.pop("_edge_tables", None)
         # The direct table is a pure function of (ucells, grid).  For the DISK
         # cache, rebuilding on load (~0.5 s) beats writing/reading up to 1 GB
         # of -1s, so _save_disk_cache strips it via _STRIP_DERIVED.  For
@@ -294,6 +312,79 @@ class PolygonBundle:
         r0 = self.poly_ring_offsets[poly_id]
         r1 = self.poly_ring_offsets[poly_id + 1]
         return self.ring_offsets[r0 : r1 + 1]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def border_edge_lists(verts, ring_offsets, poly_ring_offsets, grid: Grid, ucells, ucand_indptr, ucand_vals, uborder):
+    """Per border ``(cell, polygon)`` entry, the polygon's edges that can flip
+    PIP parity for a point in that cell.
+
+    Returns ``(uedge_start, uedge_stop, uedge_ids)``: entry ``s`` of
+    ``ucand_vals`` tests edges (= vertex ids) ``uedge_ids[uedge_start[s]:
+    uedge_stop[s]]``; entries off the border get an empty range.
+
+    An edge can flip parity only if the point's y lies in its y-span and the
+    point is left of its max x.  So an edge is kept for a cell if its y-span
+    meets the cell's row band and its max x reaches the cell's left side,
+    both widened by one cell, plus a float32-rounding allowance, so rounding
+    in ``Grid.locate`` or the f32 plane cannot drop a real crossing.
+    Horizontal edges and rings under 3 vertices never flip parity and are
+    left out; every other ring's edges go in, so holes XOR correctly.
+
+    The lists share storage: ``uedge_ids`` holds one run per (polygon, grid
+    row) of the edges that reach the row, sorted by the last column they
+    reach, descending, so every cell's list is a prefix of its run and costs
+    two ints, not a copy of the edges.
+    """
+    nv = len(verts)
+    cell, nx, ny = grid.cell, grid.nx, grid.ny
+    # the outputs are allocated first, below the build's temporaries, so
+    # the heap can shrink once those are freed (the driver keeps ~25 MB
+    # more at 200 m otherwise)
+    idx_t = np.int32 if nv * ny < 2**31 else np.int64
+    start = np.zeros(len(ucand_vals), dtype=idx_t)
+    stop = np.zeros(len(ucand_vals), dtype=idx_t)
+    ring_len = np.diff(ring_offsets)
+    prev = edge_prev(ring_offsets, nv)
+    xi, yi = verts[:, 0], verts[:, 1]
+    xj, yj = xi[prev], yi[prev]
+    pad = cell + (float(np.abs(verts).max()) * 2.0**-20 if nv else 0.0)
+    # last column whose left side is within reach of the edge's max x
+    c_hi = np.clip(np.floor((np.maximum(xi, xj) + pad - grid.x0) / cell), -1, nx - 1).astype(np.int64)
+    e = np.flatnonzero((yi != yj) & (np.repeat(ring_len, ring_len) >= 3) & (c_hi >= 0))
+    r_lo = np.clip(np.floor((np.minimum(yi[e], yj[e]) - pad - grid.y0) / cell), 0, ny - 1).astype(np.int64)
+    r_hi = np.clip(np.floor((np.maximum(yi[e], yj[e]) + pad - grid.y0) / cell), 0, ny - 1).astype(np.int64)
+
+    # one run per (polygon, row), keyed poly * ny + row, its edges by c_hi
+    # descending; comp is one ascending key over (run, c_hi descending)
+    nrow = r_hi - r_lo + 1
+    run_edge = np.repeat(e, nrow)
+    poly_of_vert = np.repeat(np.repeat(np.arange(len(poly_ring_offsets) - 1), np.diff(poly_ring_offsets)), ring_len)
+    run_key = poly_of_vert[run_edge] * np.int64(ny) + _ranges(r_lo, nrow)
+    run_c = c_hi[run_edge]
+    order = np.lexsort((-run_c, run_key))
+    run_edge, run_c = run_edge[order], run_c[order]
+    keys, run = np.unique(run_key[order], return_inverse=True)
+    comp = run * np.int64(nx + 1) + (nx - 1 - run_c)
+
+    # border entries in ucand_vals order; an entry keeps the prefix of its
+    # run with c_hi >= its column
+    ub = np.flatnonzero(uborder)
+    nent = ucand_indptr[ub + 1] - ucand_indptr[ub]
+    slot = _ranges(ucand_indptr[ub], nent)
+    ent_row, ent_col = np.divmod(np.repeat(ucells[ub], nent), nx)
+    ent_key = ucand_vals[slot].astype(np.int64) * ny + ent_row
+    r = np.minimum(np.searchsorted(keys, ent_key), max(len(keys) - 1, 0))
+    found = keys[r] == ent_key if len(keys) else np.zeros(len(slot), dtype=bool)
+    r, slot, ent_col = r[found], slot[found], ent_col[found]
+    start[slot] = np.searchsorted(comp, r * np.int64(nx + 1))
+    stop[slot] = np.searchsorted(comp, r * np.int64(nx + 1) + (nx - 1 - ent_col), "right")
+    return start, stop, run_edge.astype(np.int32)
 
 
 def classify_layer_pairs(layer: PolygonLayer, grid: Grid, poly_ids):
@@ -513,7 +604,7 @@ def _disk_cache_dir() -> "str":
 def _cache_path(key) -> "str":
     import os
 
-    name = f"bundle_v4_{key[0]}_{key[1]}_{int(key[2])}.pkl"
+    name = f"bundle_v5_{key[0]}_{key[1]}_{int(key[2])}.pkl"
     return os.path.join(_disk_cache_dir(), name)
 
 

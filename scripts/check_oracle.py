@@ -7,6 +7,7 @@ Usage: python scripts/check_oracle.py [sf_dir]
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -35,7 +36,13 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False, ignore_reinit_error=True, logging_level="ERROR")
+    ray.init(
+        address="local",
+        num_cpus=len(os.sched_getaffinity(0)),
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+    )
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False

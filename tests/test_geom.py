@@ -207,6 +207,37 @@ def test_bundle_tiny2():
     assert list(counts) == [2, 3]
 
 
+def test_bundle_disk_cache_keeps_edge_lists(tmp_path, monkeypatch):
+    """A bundle round-tripped through the disk cache carries its border edge
+    lists and gives the same hybrid join."""
+    import pyarrow as pa
+
+    from rasterflow.pipelines.joins import SpatialJoinAgg
+    from rasterflow.sources.fixtures import neigh_like_layer
+    from rasterflow.state import bundle as B
+
+    monkeypatch.setenv("RASTERFLOW_CACHE_DIR", str(tmp_path / "cache"))
+    layer = neigh_like_layer(30, seed=4, nv_range=(20, 60))
+    xmin, ymin, xmax, ymax = layer.bounds
+    b = PolygonBundle(layer, C.Grid.from_bounds(xmin, ymin, xmax, ymax, max(xmax - xmin, ymax - ymin) / 200))
+    assert len(b.uedge_ids) and b.uedge_ids.dtype == np.int32
+    assert len(b.uedge_start) == len(b.uedge_stop) == len(b.ucand_vals)
+    key = ("edge-lists", "layer", 0)
+    B._save_disk_cache(key, b)
+    assert B._cache_path(key).split("/")[-1].startswith("bundle_v5_")
+    loaded = B._load_disk_cache(key)
+    assert loaded is not None
+    np.testing.assert_array_equal(loaded.uedge_start, b.uedge_start)
+    np.testing.assert_array_equal(loaded.uedge_stop, b.uedge_stop)
+    np.testing.assert_array_equal(loaded.uedge_ids, b.uedge_ids)
+    rng = np.random.default_rng(4)
+    pts = pa.table({"x": rng.uniform(xmin, xmax, 50_000), "y": rng.uniform(ymin, ymax, 50_000)})
+    want = SpatialJoinAgg(b, how="hybrid")(pts)
+    assert want.num_rows
+    assert SpatialJoinAgg(loaded, how="hybrid")(pts).equals(want)
+    assert SpatialJoinAgg(b, how="index")(pts).equals(want)
+
+
 def test_polygon_text_roundtrip(tmp_path):
     layer = tiny2_layer()
     path = tmp_path / "polys.txt"

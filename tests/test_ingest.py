@@ -80,7 +80,7 @@ def test_radius_search_matches_brute(ray_session):
 def test_bundle_distributed_matches_serial(ray_session):
     """The range-partitioned distributed assembly must be array-identical to
     the serial build — same unified cells, CSR offsets/values, border flags,
-    pickle roundtrip (which drops + rebuilds the direct table)."""
+    border edge lists, pickle roundtrip (which drops + rebuilds the direct table)."""
     import pickle
 
     from rasterflow.sources.fixtures import synthetic_layer
@@ -94,7 +94,10 @@ def test_bundle_distributed_matches_serial(ray_session):
     serial = PolygonBundle(layer, grid)
     segs = _distributed_segments(layer, grid, chunk=37, nranges=9)
     dist = PolygonBundle(layer, grid, segments=segs)
-    for f in ("ucells", "ucand_indptr", "ucand_vals", "ucover_indptr", "ucover_vals", "uborder"):
+    for f in (
+        "ucells", "ucand_indptr", "ucand_vals", "ucover_indptr", "ucover_vals", "uborder",
+        "uedge_start", "uedge_stop", "uedge_ids",
+    ):
         a, b = getattr(serial, f), getattr(dist, f)
         assert a.dtype == b.dtype, f
         np.testing.assert_array_equal(a, b, err_msg=f)

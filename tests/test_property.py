@@ -161,3 +161,140 @@ def test_misra_gries_partial_guarantee_property(seed, k):
     for t_, c in true.items():
         e = est.get(t_, 0)
         assert e <= c <= e + n // (k + 1) + 1
+
+
+def _star(rng, cx, cy, rmin, rmax, nv):
+    ang = np.sort(rng.uniform(0, 2 * np.pi, nv))
+    rad = rng.uniform(rmin, rmax, nv)
+    return np.stack([cx + np.cos(ang) * rad, cy + np.sin(ang) * rad], axis=1)
+
+
+def _sorted_pairs(pts, pl):
+    o = np.lexsort((pl, pts))
+    return np.asarray(pts)[o], np.asarray(pl)[o]
+
+
+def _check_hybrid_edge_lists(layer, grid, px, py, dtype, match_index=True):
+    """Hybrid ``_match_pairs`` (edge lists on the border) equals the index
+    join pair for pair, and ``pip_edge_lists`` equals ``pip_pairs`` on every
+    border candidate pair, with points located as the join stage does."""
+    from rasterflow.geom.pip import pip_edge_lists, pip_pairs
+    from rasterflow.pipelines.joins import SpatialJoinAgg
+    from rasterflow.state.bundle import PolygonBundle
+
+    b = PolygonBundle(layer, grid)
+    x = np.asarray(px, dtype)
+    y = np.asarray(py, dtype)
+    lin, valid = grid.locate_linear(x, y)
+    x, y, lin = x[valid], y[valid], lin[valid]
+    if match_index:
+        hyb = SpatialJoinAgg(b, how="hybrid", dtype=dtype)._match_pairs(x, y, lin)
+        idx_ = SpatialJoinAgg(b, how="index", dtype=dtype)._match_pairs(x, y, lin)
+        for a, c in zip(_sorted_pairs(*hyb), _sorted_pairs(*idx_)):
+            np.testing.assert_array_equal(a, c)
+
+    idx, hit = b.locate_ucells(lin)
+    border = np.flatnonzero(hit & b.uborder[idx])
+    pts, slot = SpatialJoinAgg._expand_idx(b.ucand_indptr, len(b.ucand_vals), idx[border], hit[border])
+    pip_dtype = None if dtype == np.float64 else dtype
+    want = pip_pairs(
+        x[border], y[border], pts, b.ucand_vals[slot], b.verts, b.ring_offsets, b.poly_ring_offsets, dtype=pip_dtype
+    )
+    got = pip_edge_lists(
+        x[border], y[border], pts, b.uedge_start[slot], b.uedge_stop[slot], b.uedge_ids, b.edge_table(dtype)
+    )
+    np.testing.assert_array_equal(got, want)
+    return len(pts)
+
+
+def _star_layer_and_points(seed, cell, offset=0.0):
+    """1-4 random star polygons, half with a hole, plus points on and near
+    their vertices, on their edges, cell lines and cell corners, and random
+    points."""
+    from rasterflow.geom.cells import Grid
+
+    rng = np.random.default_rng(seed)
+    polys, verts = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        cx, cy = rng.uniform(10, 40, 2) + offset
+        r = rng.uniform(3, 12)
+        # vertices snapped to half cells: some lie on grid lines, and equal
+        # snapped y values make horizontal edges
+        outer = np.round(_star(rng, cx, cy, 0.4 * r, r, int(rng.integers(3, 30))) * 2 / cell) * cell / 2
+        rings = [outer]
+        if rng.random() < 0.5:
+            rings.append(_star(rng, cx, cy, 0.05 * r, 0.3 * r, int(rng.integers(3, 12))))
+        polys.append(rings)
+        verts.extend(rings)
+    layer = PolygonLayer.from_rings("stars", polys)
+    xmin, ymin, xmax, ymax = layer.bounds
+    grid = Grid.from_bounds(xmin, ymin, xmax, ymax, cell)
+    v = np.concatenate(verts)
+    nxt = np.concatenate([np.roll(r, -1, axis=0) for r in verts])
+    on_edges = v + (nxt - v) * rng.uniform(0, 1, (len(v), 1))
+    gx = grid.x0 + rng.integers(0, grid.nx + 1, 200) * cell
+    gy = grid.y0 + rng.integers(0, grid.ny + 1, 200) * cell
+    pts = np.concatenate(
+        [
+            rng.uniform((xmin, ymin), (xmax, ymax), (1000, 2)),
+            v,  # on vertices
+            np.repeat(v, 8, axis=0) + rng.uniform(-2 * cell, 2 * cell, (8 * len(v), 2)),  # near vertices
+            on_edges,  # on (horizontal and sloped) edges
+            (v + nxt) / 2,
+            np.stack([gx, rng.uniform(ymin, ymax, 200)], axis=1),  # on cell columns
+            np.stack([rng.uniform(xmin, xmax, 200), gy], axis=1),  # on cell rows
+            np.stack([gx, gy], axis=1),  # on cell corners
+            np.stack([rng.uniform(xmin, xmax, 200), rng.choice(v[:, 1], 200)], axis=1),  # on vertex rows
+        ]
+    )
+    return layer, grid, pts[:, 0], pts[:, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    cell=st.sampled_from([0.5, 1.0, 2.5, 3.7]),
+)
+def test_hybrid_edge_lists_match_index(seed, dtype, cell):
+    _check_hybrid_edge_lists(*_star_layer_and_points(seed, cell), dtype)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_edge_lists_f32_far_from_origin(seed):
+    """Cells finer than float32 spacing at the coordinates: the edge lists'
+    rounding allowance must still keep every edge the f32 plane can cross.
+    (Hybrid and index may differ here — the interior fast path is exact only
+    in f64 — so only the kernels are compared.)"""
+    layer, grid, px, py = _star_layer_and_points(seed, 0.05, offset=2.0e6)
+    _check_hybrid_edge_lists(layer, grid, px, py, np.float32, match_index=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t=st.lists(st.floats(0, 1), min_size=1, max_size=40),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    cell=st.sampled_from([0.01, 0.02, 0.05, 0.1 / 3, 0.3]),
+)
+def test_hybrid_edge_lists_tiny2_shared_border(t, dtype, cell):
+    """The reference's two squares share the corner (5.1, 5.1); points on
+    their sides, corners and the interior points of the hand-checked case."""
+    from rasterflow.geom.cells import Grid
+    from rasterflow.sources.fixtures import tiny2_layer
+
+    layer = tiny2_layer()
+    grid = Grid.from_bounds(*layer.bounds, cell)
+    t = np.asarray(t)
+    sides = [
+        (5.1 + 0.1 * t, np.full_like(t, 5.1)),  # A bottom
+        (np.full_like(t, 5.1), 5.1 + 0.1 * t),  # A left
+        (4.9 + 0.2 * t, np.full_like(t, 5.1)),  # B top
+        (np.full_like(t, 5.1), 4.9 + 0.2 * t),  # B right
+        (5.1 + 0.1 * t, np.full_like(t, 5.2)),  # A top
+        (np.full_like(t, 4.9), 4.9 + 0.2 * t),  # B left
+    ]
+    fixed = np.array([[5.15, 5.15], [5.0, 5.0], [5.1, 5.1], [5.2, 5.2], [4.9, 4.9], [5.1, 4.9], [5.2, 5.1]])
+    px = np.concatenate([s[0] for s in sides] + [fixed[:, 0]])
+    py = np.concatenate([s[1] for s in sides] + [fixed[:, 1]])
+    _check_hybrid_edge_lists(layer, grid, px, py, dtype)

@@ -400,6 +400,18 @@ def test_dbscan_matches_reference(ray_session):
     pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
 
 
+def test_dbscan_rejects_min_pts_below_two():
+    """Isolated points never reach the ε-pair stream, so under min_pts <= 1
+    (every point core) they would silently drop out; dbscan refuses."""
+    import pytest
+
+    from rasterflow.pipelines.proximity import dbscan
+
+    for mp in (1, 0):
+        with pytest.raises(ValueError, match="min_pts >= 2"):
+            dbscan(None, eps=0.1, min_pts=mp)
+
+
 def test_distance_join_bipartite_matches_brute(ray_session):
     from rasterflow.pipelines.proximity import distance_join_bipartite
     import ray.data
