@@ -35,11 +35,6 @@ from ..util import grouped_aggregate, streaming_group_sum
 
 _STRATEGIES = ("raster", "index", "hybrid")
 
-#: stats text of the most recent driver-reduced join pipeline (the reduce
-#: consumes the partials internally, so callers can't reach ds.stats();
-#: bench/metrics read this instead)
-LAST_STATS: str = ""
-
 # §2.8 extension surface: new join techniques plug in by name — the analogue
 # of registering a GLFunction subclass in GLHandler::initFunctions
 # (join/GLHandler.cpp:157-186).  A strategy is a SpatialJoinAgg subclass
@@ -437,9 +432,7 @@ def aggregate_by_polygon(
         int_cols = {"count"}
         if value_col is not None and fixed_point:
             int_cols |= {"sum_hi", "sum_lo"}
-        red, stats = streaming_group_sum(partials, "poly_id", sum_cols, int_cols=int_cols)
-        global LAST_STATS
-        LAST_STATS = stats
+        red = streaming_group_sum(partials, "poly_id", sum_cols, int_cols=int_cols)
         if value_col is not None and agg == "avg":
             c = red["count"].to_numpy().astype(np.float64)
             if fixed_point:
@@ -546,7 +539,7 @@ def aggregate_with_bounds(
     import pandas as pd
 
     cols = ["count", "fp_all", "fn_all", "fp_est", "fn_est"]
-    red, _ = streaming_group_sum(partials, "poly_id", cols, int_cols={"count", "fp_all", "fn_all"})
+    red = streaming_group_sum(partials, "poly_id", cols, int_cols={"count", "fp_all", "fn_all"})
     c = red["count"].to_numpy().astype(np.float64)
     out = pd.DataFrame(
         {

@@ -116,8 +116,9 @@ def _tagged_key_partition(
 
         # a side can still be schema-less after the fetch (zero-row input,
         # e.g. a Bloom probe with no survivors) — type its columns from the
-        # other side where possible; the residue only pads all-null columns
-        # of an empty result, so the string fallback is inert
+        # other side where possible; a column neither side types is an
+        # all-null pad (the right values of a left join against nothing),
+        # typed float64 so it comes back NaN like any other left-outer pad
         lnames = list(ls.names) if ls is not None else []
         rnames = list(rs.names) if rs is not None else []
         for c in allcols:
@@ -126,7 +127,7 @@ def _tagged_key_partition(
             elif c in rnames:
                 coltype[c] = _pa_type(rs.types[rnames.index(c)])
             else:
-                coltype[c] = pa.string()
+                coltype[c] = pa.float64()
 
     hot_sorted = None
     if hot_df is not None and len(hot_df):

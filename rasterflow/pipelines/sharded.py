@@ -164,7 +164,7 @@ def aggregate_by_polygon_sharded(
     from ..util import streaming_group_sum
 
     # streaming O(npolys) driver reduce (keys emitted in ascending order)
-    red, _ = streaming_group_sum(partials, "poly_id", ["count"], int_cols={"count"})
+    red = streaming_group_sum(partials, "poly_id", ["count"], int_cols={"count"})
     from ray.data import from_pandas
 
     return from_pandas(red)

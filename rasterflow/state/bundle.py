@@ -3,24 +3,28 @@
 Packs, for one (layer, canvas grid) pair, everything a join actor needs:
 
 - the layer's flat CSR vertex arrays (for exact PIP refinement),
-- ``cand``   CSR: cell -> polygons whose shape intersects the cell (the exact
-  CPU grid index of the reference, ``CPUJoin/GridIndexF.cpp:60-155``),
-- ``cover``  CSR: cell -> polygons whose rasterization covers the cell center
-  (the GL fill rule; multi-valued, preserving the reference's multi-cover
-  raster semantics, SURVEY.md §2.7.4),
-- ``border`` mask: any polygon outline cell, dilated by 1 cell (the 3×3
+- ``ucells``: the sorted ids of every cell any list below mentions, so one
+  lookup per point serves them all (``locate_ucells``: a direct-address
+  table for big bundles, a pandas hash index otherwise),
+- ``ucand_indptr``/``ucand_vals``: CSR over ``ucells`` of the polygons whose
+  shape intersects the cell, outline ∪ cover (the exact CPU grid index of
+  the reference, ``CPUJoin/GridIndexF.cpp:60-155``),
+- ``ucover_indptr``/``ucover_vals``: CSR of the polygons whose rasterization
+  covers the cell centre (the GL fill rule; multi-valued, preserving the
+  reference's multi-cover raster semantics, SURVEY.md §2.7.4),
+- ``uborder``: any polygon outline cell, dilated by 1 cell (the 3×3
   ``isBorder`` test of ``shaders/hybrid.glsl:174-185`` /
   ``HybridJoin::drawOutline``),
-- ``uedge`` CSR: per border (cell, poly) entry of ``cand``, the polygon's
-  edges that can flip PIP parity for a point in that cell, so the hybrid
-  join's exact test reads ~10 edges instead of the whole polygon,
+- ``uedge_start``/``uedge_stop``/``uedge_ids``: per border (cell, poly)
+  entry of ``ucand_vals``, the polygon's edges that can flip PIP parity for
+  a point in that cell, so the hybrid join's exact test reads ~10 edges
+  instead of the whole polygon,
 - per-(border-cell, poly) area fractions, built lazily for error bounds.
 
-The bundle is a plain dict of numpy arrays: built once on the driver (pure
-function of (layer, grid) — cacheable), shipped once via ``ray.put``, pinned
-per actor in ``__init__``.  CSR lookup over sparse cell keys uses
-``np.searchsorted`` on the sorted unique cell-id array, so batch lookups stay
-fully vectorized.
+Outline and cover cells come from one vectorized pass over the whole layer
+(``geom.rasterize.rasterize_layer``).  The bundle is a pure function of
+(layer, grid): built once on the driver (and cached on disk), shipped once
+via ``ray.put``, pinned per actor in ``__init__``.
 """
 
 from __future__ import annotations
@@ -33,56 +37,8 @@ from ..geom.cells import Grid
 from ..geom.pip import edge_prev, edge_table
 from ..geom.polyio import PolygonLayer
 from ..geom.projection import accuracy_to_cell_size
-from ..geom.rasterize import area_fraction_inside, classify_polygon_cells, dilate_cells
-from ..util import pconcat, pfull
-
-
-def _pairs_to_csr(cells: np.ndarray, polys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cell, poly) pairs -> (sorted unique cells, indptr, poly_ids)."""
-    if len(cells) == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.int32),
-        )
-    order = np.lexsort((polys, cells))
-    cells = cells[order]
-    polys = polys[order]
-    ucells, counts = np.unique(cells, return_counts=True)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return ucells, indptr.astype(np.int64), polys.astype(np.int32)
-
-
-class CsrLookup:
-    """Sparse cell -> polygon-list map with vectorized batch expansion."""
-
-    __slots__ = ("keys", "indptr", "values")
-
-    def __init__(self, keys: np.ndarray, indptr: np.ndarray, values: np.ndarray):
-        self.keys = keys
-        self.indptr = indptr
-        self.values = values
-
-    def expand(self, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For query cells ``lin`` (one per point) return candidate pairs
-        ``(point_idx, poly_id)`` — fully vectorized."""
-        if len(lin) == 0 or len(self.keys) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        pos = np.searchsorted(self.keys, lin)
-        pos_c = np.clip(pos, 0, len(self.keys) - 1)
-        hit = self.keys[pos_c] == lin
-        starts = self.indptr[pos_c]
-        counts = np.where(hit, self.indptr[pos_c + 1] - starts, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        point_idx = np.repeat(np.arange(len(lin), dtype=np.int64), counts)
-        # offsets within each point's candidate run
-        run_ends = np.cumsum(counts)
-        run_starts = run_ends - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-        val_idx = np.repeat(starts, counts) + within
-        return point_idx, self.values[val_idx]
+from ..geom.rasterize import area_fraction_inside, concat_ranges, dilate_cells, rasterize_layer, unique_pairs
+from ..util import pfull
 
 
 class PolygonBundle:
@@ -95,14 +51,14 @@ class PolygonBundle:
     cache and the plasma object for zero lookups saved).
     """
 
-    def __init__(
-        self,
-        layer: PolygonLayer,
-        grid: Grid,
-        build_area_fractions: bool = False,
-        pairs=None,
-        segments=None,
-    ):
+    #: every array the constructor sets (``ucell_table`` is derived and
+    #: rebuilt on load); a cached pickle missing one is an earlier layout
+    ARRAYS = (
+        "verts", "ring_offsets", "poly_ring_offsets", "ucells", "ucand_indptr", "ucand_vals",
+        "ucover_indptr", "ucover_vals", "uborder", "uedge_start", "uedge_stop", "uedge_ids",
+    )
+
+    def __init__(self, layer: PolygonLayer, grid: Grid, build_area_fractions: bool = False):
         self.layer_name = layer.name
         self.grid = grid
         self.npolys = layer.npolys
@@ -110,59 +66,24 @@ class PolygonBundle:
         self.ring_offsets = np.ascontiguousarray(layer.ring_offsets)
         self.poly_ring_offsets = np.ascontiguousarray(layer.poly_ring_offsets)
 
-        if segments is not None:
-            # pre-assembled unified structures (distributed build path)
-            (
-                self.ucells,
-                self.ucand_indptr,
-                self.ucand_vals,
-                self.ucover_indptr,
-                self.ucover_vals,
-                self.uborder,
-            ) = segments
-        else:
-            if pairs is None:
-                pairs = classify_layer_pairs(layer, grid, range(layer.npolys))
-            cand_cells, cand_polys, cover_cells, cover_polys, outline_cells_all = pairs
+        ocell, opoly, vcell, vpoly = rasterize_layer(self.verts, self.ring_offsets, self.poly_ring_offsets, grid)
+        # candidates: every cell a polygon intersects = outline ∪ cover;
+        # both CSRs list a cell's polygons in ascending order
+        cc, cp = unique_pairs(np.concatenate([ocell, vcell]), np.concatenate([opoly, vpoly]))
+        o = np.argsort(vcell, kind="stable")
+        vcell, vpoly = vcell[o], vpoly[o]
+        # border = outline dilated by one cell (3×3 neighborhood), sorted
+        border_cells = dilate_cells(np.unique(ocell), grid, r=1)
 
-            cand = CsrLookup(
-                *_pairs_to_csr(
-                    np.concatenate(cand_cells) if cand_cells else np.empty(0, np.int64),
-                    np.concatenate(cand_polys) if cand_polys else np.empty(0, np.int32),
-                )
-            )
-            cover = CsrLookup(
-                *_pairs_to_csr(
-                    np.concatenate(cover_cells) if cover_cells else np.empty(0, np.int64),
-                    np.concatenate(cover_polys) if cover_polys else np.empty(0, np.int32),
-                )
-            )
-            outline_all = (
-                np.unique(np.concatenate(outline_cells_all))
-                if len(outline_cells_all)
-                else np.empty(0, dtype=np.int64)
-            )
-            # border = outline dilated by one cell (3×3 neighborhood), sorted
-            border_cells = dilate_cells(outline_all, grid, r=1)
-
-            # unified cell table: ONE searchsorted per batch serves candidate
-            # lists, cover lists and the border flag (3x fewer binary searches
-            # in the join hot path)
-            cells = np.union1d(cand.keys, border_cells)
-            self.ucells = cells
-
-            def _align(csr: CsrLookup):
-                indptr = np.zeros(len(cells) + 1, dtype=np.int64)
-                pos = np.searchsorted(cells, csr.keys)
-                indptr[pos + 1] = np.diff(csr.indptr)
-                np.cumsum(indptr, out=indptr)
-                return indptr, csr.values
-
-            self.ucand_indptr, self.ucand_vals = _align(cand)
-            self.ucover_indptr, self.ucover_vals = _align(cover)
-            self.uborder = np.zeros(len(cells), dtype=bool)
-            if len(border_cells):
-                self.uborder[np.searchsorted(cells, border_cells)] = True
+        # unified cell table: ONE lookup per batch serves candidate lists,
+        # cover lists and the border flag
+        self.ucells = np.union1d(cc, border_cells)
+        self.ucand_indptr = _aligned_indptr(cc, self.ucells)
+        self.ucand_vals = cp.astype(np.int32)
+        self.ucover_indptr = _aligned_indptr(vcell, self.ucells)
+        self.ucover_vals = vpoly.astype(np.int32)
+        self.uborder = np.zeros(len(self.ucells), dtype=bool)
+        self.uborder[np.searchsorted(self.ucells, border_cells)] = True
         self.uedge_start, self.uedge_stop, self.uedge_ids = border_edge_lists(
             self.verts, self.ring_offsets, self.poly_ring_offsets, grid,
             self.ucells, self.ucand_indptr, self.ucand_vals, self.uborder,
@@ -294,12 +215,11 @@ class PolygonBundle:
 
     def build_area_fractions(self, subsamples: int = 8) -> None:
         """Per polygon: its outline cells + area fraction inside (for J4)."""
-        from ..geom.polyio import PolygonLayer as _PL  # noqa: F401 (doc aid)
-
+        ocell, opoly, _, _ = rasterize_layer(self.verts, self.ring_offsets, self.poly_ring_offsets, self.grid)
+        bounds = np.searchsorted(opoly, np.arange(self.npolys + 1))
         for p in range(self.npolys):
-            ro = self.ring_offsets[self.poly_ring_offsets[p] : self.poly_ring_offsets[p + 1] + 1]
-            outline, _cover, _full = classify_polygon_cells(self.verts, ro, self.grid)
-            frac = area_fraction_inside(self.verts, ro, self.grid, outline, subsamples=subsamples)
+            outline = ocell[bounds[p] : bounds[p + 1]]
+            frac = area_fraction_inside(self.verts, self.rings_of(p), self.grid, outline, subsamples=subsamples)
             self._area_frac[p] = (outline, frac)
 
     @property
@@ -314,10 +234,10 @@ class PolygonBundle:
         return self.ring_offsets[r0 : r1 + 1]
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+def _aligned_indptr(cells: np.ndarray, ucells: np.ndarray) -> np.ndarray:
+    """CSR offsets over ``ucells`` of pairs sorted by cell (every pair's cell
+    is in ``ucells``)."""
+    return np.append(np.searchsorted(cells, ucells), len(cells)).astype(np.int64)
 
 
 def border_edge_lists(verts, ring_offsets, poly_ring_offsets, grid: Grid, ucells, ucand_indptr, ucand_vals, uborder):
@@ -365,7 +285,7 @@ def border_edge_lists(verts, ring_offsets, poly_ring_offsets, grid: Grid, ucells
     nrow = r_hi - r_lo + 1
     run_edge = np.repeat(e, nrow)
     poly_of_vert = np.repeat(np.repeat(np.arange(len(poly_ring_offsets) - 1), np.diff(poly_ring_offsets)), ring_len)
-    run_key = poly_of_vert[run_edge] * np.int64(ny) + _ranges(r_lo, nrow)
+    run_key = poly_of_vert[run_edge] * np.int64(ny) + concat_ranges(r_lo, nrow)
     run_c = c_hi[run_edge]
     order = np.lexsort((-run_c, run_key))
     run_edge, run_c = run_edge[order], run_c[order]
@@ -376,7 +296,7 @@ def border_edge_lists(verts, ring_offsets, poly_ring_offsets, grid: Grid, ucells
     # run with c_hi >= its column
     ub = np.flatnonzero(uborder)
     nent = ucand_indptr[ub + 1] - ucand_indptr[ub]
-    slot = _ranges(ucand_indptr[ub], nent)
+    slot = concat_ranges(ucand_indptr[ub], nent)
     ent_row, ent_col = np.divmod(np.repeat(ucells[ub], nent), nx)
     ent_key = ucand_vals[slot].astype(np.int64) * ny + ent_row
     r = np.minimum(np.searchsorted(keys, ent_key), max(len(keys) - 1, 0))
@@ -385,150 +305,6 @@ def border_edge_lists(verts, ring_offsets, poly_ring_offsets, grid: Grid, ucells
     start[slot] = np.searchsorted(comp, r * np.int64(nx + 1))
     stop[slot] = np.searchsorted(comp, r * np.int64(nx + 1) + (nx - 1 - ent_col), "right")
     return start, stop, run_edge.astype(np.int32)
-
-
-def classify_layer_pairs(layer: PolygonLayer, grid: Grid, poly_ids):
-    """Classify a set of polygons to (cand, cover, outline) pair lists.
-
-    Pure function of (layer slice, grid) — the unit of parallelism for
-    distributed bundle builds."""
-    cand_cells, cand_polys = [], []
-    cover_cells, cover_polys = [], []
-    outline_cells_all = []
-    verts = layer.verts
-    for p in poly_ids:
-        ro = layer.rings_of(p)
-        outline, cover, _full = classify_polygon_cells(verts, ro, grid)
-        # exact candidate set = every cell the polygon intersects: boundary
-        # cells plus center-covered cells (non-outline covered = fully inside)
-        cand = np.union1d(outline, cover)
-        cand_cells.append(cand)
-        cand_polys.append(np.full(len(cand), p, dtype=np.int32))
-        cover_cells.append(cover)
-        cover_polys.append(np.full(len(cover), p, dtype=np.int32))
-        outline_cells_all.append(outline)
-    return cand_cells, cand_polys, cover_cells, cover_polys, outline_cells_all
-
-
-def _classify_range_parts(layer: PolygonLayer, grid: Grid, poly_ids, nranges: int, rwidth: int):
-    """Distributed-build phase 1: classify a chunk of polygons and partition
-    the resulting pair lists by contiguous cell-id range ``[r*rwidth,
-    (r+1)*rwidth)``.
-
-    Border dilation happens here, per polygon — dilation distributes over
-    union (``dilate_cells`` is a pointwise clipped neighborhood expansion), so
-    per-range assembly never needs outline cells from a neighboring range.
-
-    Returns an ``nranges``-tuple of ``(cand_cells, cand_polys, cover_cells,
-    cover_polys, border_cells)`` — the shape Ray's ``num_returns=nranges``
-    expects, so phase 2 fetches only its own range's pieces.
-    """
-    cand_c, cand_p, cov_c, cov_p, bord = [], [], [], [], []
-    verts = layer.verts
-    for p in poly_ids:
-        ro = layer.rings_of(p)
-        outline, cover, _full = classify_polygon_cells(verts, ro, grid)
-        cand = np.union1d(outline, cover)
-        cand_c.append(cand)
-        cand_p.append(np.full(len(cand), p, dtype=np.int32))
-        cov_c.append(cover)
-        cov_p.append(np.full(len(cover), p, dtype=np.int32))
-        bord.append(dilate_cells(outline, grid, r=1))
-
-    def cat(parts, dtype):
-        return np.concatenate(parts) if parts else np.empty(0, dtype)
-
-    cc, cp = cat(cand_c, np.int64), cat(cand_p, np.int32)
-    vc, vp = cat(cov_c, np.int64), cat(cov_p, np.int32)
-    bd = cat(bord, np.int64)
-    out = []
-    for r in range(nranges):
-        lo, hi = r * rwidth, (r + 1) * rwidth
-        mc = (cc >= lo) & (cc < hi)
-        mv = (vc >= lo) & (vc < hi)
-        mb = (bd >= lo) & (bd < hi)
-        out.append((cc[mc], cp[mc], vc[mv], vp[mv], bd[mb]))
-    return tuple(out)
-
-
-def _assemble_range(*parts):
-    """Distributed-build phase 2: assemble ONE contiguous cell-range segment
-    of the unified structures — sort, unique and align locally so the driver
-    only concatenates pre-sorted segments.
-
-    Returns ``(ucells, cand_counts, cand_vals, cover_counts, cover_vals,
-    uborder)`` for this range; counts (not indptr) so the driver can run one
-    global cumsum.
-    """
-
-    def cat(i, dtype):
-        arrs = [p[i] for p in parts if len(p[i])]
-        return np.concatenate(arrs) if arrs else np.empty(0, dtype)
-
-    cc, cp = cat(0, np.int64), cat(1, np.int32)
-    vc, vp = cat(2, np.int64), cat(3, np.int32)
-    bd = cat(4, np.int64)
-    o = np.lexsort((cp, cc))
-    cc, cp = cc[o], cp[o]
-    o = np.lexsort((vp, vc))
-    vc, vp = vc[o], vp[o]
-    ucand, cand_counts = np.unique(cc, return_counts=True)
-    ucov, cov_counts = np.unique(vc, return_counts=True)
-    bd = np.unique(bd)
-    ucells = np.union1d(ucand, bd)
-    # int32 counts on the wire (a cell's list holds ≤ npolys ≤ 2^31 polys);
-    # the driver cumsums into the int64 indptr
-    ccounts = np.zeros(len(ucells), dtype=np.int32)
-    ccounts[np.searchsorted(ucells, ucand)] = cand_counts
-    vcounts = np.zeros(len(ucells), dtype=np.int32)
-    vcounts[np.searchsorted(ucells, ucov)] = cov_counts
-    ub = np.zeros(len(ucells), dtype=bool)
-    if len(bd):
-        ub[np.searchsorted(ucells, bd)] = True
-    return ucells, ccounts, cp.astype(np.int32, copy=False), vcounts, vp.astype(np.int32, copy=False), ub
-
-
-def _distributed_segments(layer: PolygonLayer, grid: Grid, chunk: int = 256, nranges: int | None = None):
-    """Build the unified bundle structures with Ray tasks end to end.
-
-    Phase 1 classifies polygon chunks and range-partitions the pairs; phase 2
-    builds each contiguous cell-range's sorted/aligned segment.  Because the
-    ranges partition the linear cell-id space in order, the driver's only work
-    is concatenating ``nranges`` pre-sorted segments and one cumsum — the
-    driver-serial lexsort/unique over tens of millions of pairs (the round-3
-    4-36 s cold-build bottleneck) moves onto the cluster.  Output is
-    array-identical to the serial path (pinned by test_bundle_distributed).
-    """
-    import ray
-
-    if nranges is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        nranges = max(8, min(64, 2 * cpus))
-    nranges = min(nranges, int(grid.ncells)) or 1
-    if nranges < 2:
-        return None
-    rwidth = -(-int(grid.ncells) // nranges)
-
-    classify = ray.remote(num_returns=nranges)(_classify_range_parts)
-    assemble = ray.remote(_assemble_range)
-    layer_ref = ray.put(layer)
-    part_refs = [
-        classify.remote(layer_ref, grid, list(range(s, min(s + chunk, layer.npolys))), nranges, rwidth)
-        for s in range(0, layer.npolys, chunk)
-    ]
-    seg_refs = [assemble.remote(*[refs[r] for refs in part_refs]) for r in range(nranges)]
-    segs = ray.get(seg_refs)
-
-    ucells = pconcat([s[0] for s in segs])
-    n = len(ucells)
-    cand_indptr = pfull(n + 1, 0, np.int64)
-    np.cumsum(pconcat([s[1] for s in segs]), out=cand_indptr[1:])
-    cand_vals = pconcat([s[2] for s in segs])
-    cover_indptr = pfull(n + 1, 0, np.int64)
-    np.cumsum(pconcat([s[3] for s in segs]), out=cover_indptr[1:])
-    cover_vals = pconcat([s[4] for s in segs])
-    uborder = pconcat([s[5] for s in segs])
-    return ucells, cand_indptr, cand_vals, cover_indptr, cover_vals, uborder
 
 
 _BUNDLE_CACHE: dict[tuple, PolygonBundle] = {}
@@ -567,13 +343,8 @@ def build_bundle(
     if b is None:
         b = _load_disk_cache(key)
     if b is None:
-        import ray
-
         grid = Grid.from_bounds(xmin, ymin, xmax, ymax, cell_size)
-        segments = None
-        if ray.is_initialized() and layer.npolys >= 512:
-            segments = _distributed_segments(layer, grid)
-        b = PolygonBundle(layer, grid, build_area_fractions=build_area_fractions, segments=segments)
+        b = PolygonBundle(layer, grid, build_area_fractions=build_area_fractions)
         _save_disk_cache(key, b)
     _BUNDLE_CACHE[key] = b
     return b
@@ -669,9 +440,12 @@ def _load_disk_cache(key):
                 if got != ln:
                     return None
                 bufs.append(pickle.PickleBuffer(a))
-            return pickle.loads(payload, buffers=bufs)
+            b = pickle.loads(payload, buffers=bufs)
     except Exception:  # noqa: BLE001 - corrupt cache -> rebuild
         return None
+    if not isinstance(b, PolygonBundle) or not all(isinstance(b.__dict__.get(f), np.ndarray) for f in b.ARRAYS):
+        return None  # an earlier layout under the same name -> rebuild
+    return b
 
 
 def _save_disk_cache(key, bundle) -> None:

@@ -116,7 +116,7 @@ def streaming_group_sum(
     back to int64 on output (counts stay exact: float64 accumulation is exact
     below 2^53, far above any per-polygon count at 100 TB).
 
-    Returns ``(DataFrame[key, *cols] sorted by key, stats_str)``.
+    Returns ``DataFrame[key, *cols]`` sorted by key.
     """
     size = 0
     accs: dict[str, np.ndarray] = {c: np.zeros(0) for c in cols}
@@ -145,11 +145,7 @@ def streaming_group_sum(
     for c in cols:
         a = accs[c][idx]
         data[c] = a.astype(np.int64) if c in int_cols else a
-    try:
-        stats = ds.stats()
-    except Exception:  # noqa: BLE001 - stats are best-effort
-        stats = ""
-    return pd.DataFrame(data), stats
+    return pd.DataFrame(data)
 
 
 def det_topk_indices(vals: np.ndarray, ids: np.ndarray, k: int, descending: bool = False) -> np.ndarray:
@@ -182,8 +178,8 @@ def det_topk_indices(vals: np.ndarray, ids: np.ndarray, k: int, descending: bool
 # while concurrent faults from a thread pool scale near-linearly (measured
 # 0.66 GB: 5.4 s with 1 thread, 0.25 s with 4, 0.03 s with 16 — numpy slice
 # assignment releases the GIL around the copy, so faults overlap).  Driver-side
-# assembly of GB-scale arrays (bundle concat, direct-address tables) would
-# otherwise spend 80% of its wall time faulting pages in one thread.
+# assembly of GB-scale arrays (direct-address tables) would otherwise spend
+# 80% of its wall time faulting pages in one thread.
 # ---------------------------------------------------------------------------
 
 _FILL_POOL = None
@@ -211,28 +207,6 @@ def pfull(n: int, fill_value, dtype) -> np.ndarray:
         out[s : s + step] = fill_value
 
     list(_fill_pool().map(fill, range(0, len(out), step)))
-    return out
-
-
-def pconcat(arrays: list) -> np.ndarray:
-    """``np.concatenate`` into a parallel-first-touch buffer.
-
-    Copies each input array on its own pool thread — inputs from ``ray.get``
-    are zero-copy plasma views, so this is also where their pages fault in.
-    """
-    arrays = [a for a in arrays]
-    if not arrays:
-        raise ValueError("pconcat of empty list")
-    total = int(sum(len(a) for a in arrays))
-    out = np.empty(total, dtype=arrays[0].dtype)
-    if out.nbytes < (1 << 25) or len(arrays) == 1:
-        return np.concatenate(arrays) if len(arrays) > 1 else arrays[0].copy()
-    offs = np.cumsum([0] + [len(a) for a in arrays])
-
-    def copy(i):
-        out[offs[i] : offs[i + 1]] = arrays[i]
-
-    list(_fill_pool().map(copy, range(len(arrays))))
     return out
 
 

@@ -7,8 +7,8 @@ from rasterflow.geom import cells as C
 from rasterflow.geom import pip as P
 from rasterflow.geom import projection as PR
 from rasterflow.geom import rasterize as R
-from rasterflow.geom.polyio import PolygonLayer, read_polygons_text, rect_layer, write_polygons_text
-from rasterflow.state.bundle import CsrLookup, PolygonBundle, _pairs_to_csr
+from rasterflow.geom.polyio import PolygonLayer, read_catalog, read_polygons_text, rect_layer, write_polygons_text
+from rasterflow.state.bundle import PolygonBundle
 
 
 def test_projection_roundtrip():
@@ -162,10 +162,11 @@ def test_segment_cells_diagonal_and_axis():
 def test_classify_square():
     g = C.Grid(0.0, 0.0, 1.0, 3, 3)
     layer = rect_layer("sq", np.array([[0.6, 0.6, 2.4, 2.4]]))
-    outline, cover, full = R.classify_polygon_cells(layer.verts, layer.rings_of(0), g)
+    outline, opoly, cover, cpoly = R.rasterize_layer(layer.verts, layer.ring_offsets, layer.poly_ring_offsets, g)
     assert set(outline) == {0, 1, 2, 3, 5, 6, 7, 8}
     assert set(cover) == {4}
-    assert set(full) == {4}
+    assert set(cover) - set(outline) == {4}  # fully inside
+    assert not opoly.any() and not cpoly.any()
 
 
 def test_dilate():
@@ -181,15 +182,6 @@ def test_area_fraction():
     layer = rect_layer("half", np.array([[0.0, 0.0, 1.0, 0.5]]))  # bottom half of cell 0
     frac = R.area_fraction_inside(layer.verts, layer.rings_of(0), g, np.array([0]), subsamples=10)
     assert abs(frac[0] - 0.5) < 0.06
-
-
-def test_csr_lookup_expand():
-    cells = np.array([3, 1, 3, 7], dtype=np.int64)
-    polys = np.array([0, 1, 2, 1], dtype=np.int32)
-    look = CsrLookup(*_pairs_to_csr(cells, polys))
-    pts, pl = look.expand(np.array([1, 2, 3, 7, 3], dtype=np.int64))
-    got = sorted(zip(pts.tolist(), pl.tolist()))
-    assert got == [(0, 1), (2, 0), (2, 2), (3, 1), (4, 0), (4, 2)]
 
 
 def test_bundle_tiny2():
@@ -236,6 +228,65 @@ def test_bundle_disk_cache_keeps_edge_lists(tmp_path, monkeypatch):
     assert want.num_rows
     assert SpatialJoinAgg(loaded, how="hybrid")(pts).equals(want)
     assert SpatialJoinAgg(b, how="index")(pts).equals(want)
+
+
+def test_bundle_disk_cache_rebuilds_stale_layout(tmp_path, monkeypatch):
+    """A pickle under the current cache name that lacks an array field (an
+    earlier bundle layout) is rebuilt, not returned."""
+    import pickle
+
+    import pyarrow as pa
+
+    from rasterflow.pipelines.joins import SpatialJoinAgg
+    from rasterflow.sources.fixtures import neigh_like_layer
+    from rasterflow.state import bundle as B
+
+    monkeypatch.setenv("RASTERFLOW_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(B, "_BUNDLE_CACHE", {})
+    layer = neigh_like_layer(20, seed=9)
+    fresh = B.build_bundle(layer, accuracy_m=500)
+    key = next(iter(B._BUNDLE_CACHE))
+    arrays = {k for k, v in vars(fresh).items() if isinstance(v, np.ndarray)}
+    assert arrays - {"ucell_table"} == set(B.PolygonBundle.ARRAYS)
+    # rewrite the cache file as an earlier layout: same name, no edge lists
+    stale = pickle.loads(pickle.dumps(fresh))
+    del stale.uedge_start
+    B._save_disk_cache(key, stale)
+    assert B._load_disk_cache(key) is None
+    monkeypatch.setattr(B, "_BUNDLE_CACHE", {})
+    rebuilt = B.build_bundle(layer, accuracy_m=500)
+    assert rebuilt is not stale
+    np.testing.assert_array_equal(rebuilt.uedge_start, fresh.uedge_start)
+    assert B._load_disk_cache(key) is not None  # the rebuild replaced the file
+    xmin, ymin, xmax, ymax = layer.bounds
+    rng = np.random.default_rng(9)
+    pts = pa.table({"x": rng.uniform(xmin, xmax, 20_000), "y": rng.uniform(ymin, ymax, 20_000)})
+    got = SpatialJoinAgg(rebuilt, how="hybrid")(pts)
+    assert got.num_rows
+    assert got.equals(SpatialJoinAgg(fresh, how="index")(pts))
+
+
+def test_read_catalog(tmp_path):
+    """``name,file`` lines resolve relative to the catalog; blank and
+    comma-less lines are skipped; ``project`` reads lat/lon pairs."""
+    (tmp_path / "squares.txt").write_text("2\n1\n4\n0 0\n2 0\n2 2\n0 2\n1\n3\n5 5\n6 5\n6 6\n")
+    (tmp_path / "geo").mkdir()
+    (tmp_path / "geo" / "tri.txt").write_text("1\n1\n3\n30 -100\n31 -100\n31 -99\n")
+    cat = tmp_path / "catalog.txt"
+    cat.write_text("squares, squares.txt\n\nnot a layer\ntri,geo/tri.txt\n")
+
+    raw = read_catalog(cat)
+    assert list(raw) == ["squares", "tri"]
+    assert raw["squares"].name == "squares" and raw["squares"].npolys == 2
+    np.testing.assert_array_equal(raw["squares"].verts[:4], [[0, 0], [2, 0], [2, 2], [0, 2]])
+    np.testing.assert_array_equal(raw["tri"].verts, [[30, -100], [31, -100], [31, -99]])
+
+    proj = read_catalog(cat, project=True)
+    # the squares' lat/lon pairs lie outside the US bbox, so both are dropped
+    assert proj["squares"].npolys == 0
+    x, y, ok = PR.project_points(np.array([30.0, 31.0, 31.0]), np.array([-100.0, -100.0, -99.0]))
+    assert ok.all()
+    np.testing.assert_array_equal(proj["tri"].verts, np.stack([x, y], axis=1))
 
 
 def test_polygon_text_roundtrip(tmp_path):

@@ -77,45 +77,50 @@ def test_radius_search_matches_brute(ray_session):
     assert set(got_e["url"]) == set(exp_e["url"])
 
 
-def test_bundle_distributed_matches_serial(ray_session):
-    """The range-partitioned distributed assembly must be array-identical to
-    the serial build — same unified cells, CSR offsets/values, border flags,
-    border edge lists, pickle roundtrip (which drops + rebuilds the direct table)."""
+def test_bundle_pickle_roundtrip(monkeypatch):
+    """A bundle survives a plain pickle (object store) and a disk-cache
+    pickle (direct table stripped, rebuilt on load) array for array, with the
+    same cell lookups, border flags and candidate expansion — with and
+    without the direct-address table."""
     import pickle
 
-    from rasterflow.sources.fixtures import synthetic_layer
-    from rasterflow.state.bundle import PolygonBundle, _distributed_segments
     from rasterflow.geom.cells import Grid
+    from rasterflow.sources.fixtures import synthetic_layer
+    from rasterflow.state import bundle as B
 
     layer = synthetic_layer(300, seed=11)
     xmin, ymin, xmax, ymax = layer.bounds
     cell = max(xmax - xmin, ymax - ymin) / 512
     grid = Grid.from_bounds(xmin, ymin, xmax, ymax, cell)
-    serial = PolygonBundle(layer, grid)
-    segs = _distributed_segments(layer, grid, chunk=37, nranges=9)
-    dist = PolygonBundle(layer, grid, segments=segs)
-    for f in (
-        "ucells", "ucand_indptr", "ucand_vals", "ucover_indptr", "ucover_vals", "uborder",
-        "uedge_start", "uedge_stop", "uedge_ids",
-    ):
-        a, b = getattr(serial, f), getattr(dist, f)
-        assert a.dtype == b.dtype, f
-        np.testing.assert_array_equal(a, b, err_msg=f)
-    # border property + membership agree across paths
-    np.testing.assert_array_equal(serial.border_cells, dist.border_cells)
     q = np.arange(0, grid.ncells, 97, dtype=np.int64)
-    np.testing.assert_array_equal(serial.is_border(q), dist.is_border(q))
-    # expand() parity on a mixed query (hits + misses)
-    p1, v1 = serial.expand(q, "cand")
-    p2, v2 = dist.expand(q, "cand")
-    np.testing.assert_array_equal(p1, p2)
-    np.testing.assert_array_equal(v1, v2)
-    # pickle roundtrip rebuilds the (dropped) direct table identically
-    rt = pickle.loads(pickle.dumps(serial))
-    assert (rt.ucell_table is None) == (serial.ucell_table is None)
-    if serial.ucell_table is not None:
-        np.testing.assert_array_equal(rt.ucell_table, serial.ucell_table)
-    i1, h1 = rt.locate_ucells(q)
-    i2, h2 = serial.locate_ucells(q)
-    np.testing.assert_array_equal(h1, h2)
-    np.testing.assert_array_equal(i1[h1], i2[h2])
+    for direct_table in (False, True):
+        if direct_table:
+            monkeypatch.setattr(B.PolygonBundle, "DIRECT_TABLE_MIN_KEYS", 0)
+        serial = B.PolygonBundle(layer, grid)
+        assert (serial.ucell_table is not None) == direct_table
+        B._STRIP_DERIVED.active = True
+        try:
+            stripped = pickle.dumps(serial)
+        finally:
+            B._STRIP_DERIVED.active = False
+        for rt in (pickle.loads(pickle.dumps(serial)), pickle.loads(stripped)):
+            for f in B.PolygonBundle.ARRAYS:
+                a, b = getattr(serial, f), getattr(rt, f)
+                assert a.dtype == b.dtype, f
+                np.testing.assert_array_equal(a, b, err_msg=f)
+            np.testing.assert_array_equal(serial.border_cells, rt.border_cells)
+            np.testing.assert_array_equal(serial.is_border(q), rt.is_border(q))
+            # expand() parity on a mixed query (hits + misses)
+            for kind in ("cand", "cover"):
+                p1, v1 = serial.expand(q, kind)
+                p2, v2 = rt.expand(q, kind)
+                np.testing.assert_array_equal(p1, p2)
+                np.testing.assert_array_equal(v1, v2)
+            # the direct table is rebuilt identically when stripped
+            assert (rt.ucell_table is None) == (serial.ucell_table is None)
+            if serial.ucell_table is not None:
+                np.testing.assert_array_equal(rt.ucell_table, serial.ucell_table)
+            i1, h1 = rt.locate_ucells(q)
+            i2, h2 = serial.locate_ucells(q)
+            np.testing.assert_array_equal(h1, h2)
+            np.testing.assert_array_equal(i1[h1], i2[h2])

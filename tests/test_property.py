@@ -298,3 +298,73 @@ def test_hybrid_edge_lists_tiny2_shared_border(t, dtype, cell):
     px = np.concatenate([s[0] for s in sides] + [fixed[:, 0]])
     py = np.concatenate([s[1] for s in sides] + [fixed[:, 1]])
     _check_hybrid_edge_lists(layer, grid, px, py, dtype)
+
+
+def _raster_layer(rng, cell, offset):
+    """1-4 star polygons, some with a hole or a 1-2 vertex ring, vertices
+    optionally snapped to grid lines or cell centres, some edges made
+    horizontal or vertical, on a grid that cuts some polygons off."""
+    from rasterflow.geom.cells import Grid
+
+    x0, y0 = rng.uniform(5, 20, 2) + offset
+    grid = Grid(float(x0), float(y0), cell, int(rng.uniform(15, 45) / cell) + 1, int(rng.uniform(15, 45) / cell) + 1)
+    polys = []
+    for _ in range(int(rng.integers(1, 5))):
+        cx, cy = rng.uniform(10, 40, 2) + offset
+        r = rng.uniform(2, 12)
+        outer = _star(rng, cx, cy, 0.4 * r, r, int(rng.integers(3, 30)))
+        for k in np.flatnonzero(rng.random(len(outer)) < 0.3):
+            axis = int(rng.integers(2))  # edge k-1 -> k vertical (0) or horizontal (1)
+            outer[k, axis] = outer[k - 1, axis]
+        rings = [outer] if rng.random() < 0.9 else []
+        if rng.random() < 0.5:
+            rings.append(_star(rng, cx, cy, 0.05 * r, 0.3 * r, int(rng.integers(3, 12))))
+        if rng.random() < 0.3 or not rings:
+            rings.append(rng.uniform(cx - r, cx + r, (int(rng.integers(1, 3)), 2)))
+        snap = int(rng.integers(3))  # 1: onto grid lines, 2: onto cell centres
+        if snap:
+            half = 0.5 if snap == 2 else 0.0
+            rings = [(x0, y0) + (np.round((g - (x0, y0)) / cell - half) + half) * cell for g in rings]
+        polys.append(rings)
+    return PolygonLayer.from_rings("raster", polys), grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.sampled_from([0.5, 1.0, 2.5, 3.7]),
+    offset=st.sampled_from([0.0, -1.0e3, 2.0e6]),
+)
+def test_rasterize_layer_matches_scalar_reference(seed, cell, offset):
+    """``rasterize_layer`` equals its scalar definitions polygon by polygon:
+    outline = union of ``segment_cells`` over every ring edge ``i -> i+1``;
+    cover = ``points_in_polygon`` at every cell centre of the polygon's MBR
+    cell range.  These are the real gate on the bundle build: the
+    benchmark's exact answers come from ``how="index"`` over the same
+    bundle's candidate lists, so a rasterizer that dropped candidate cells
+    would fool both sides of that check."""
+    from rasterflow.geom.rasterize import rasterize_layer, segment_cells
+
+    layer, grid = _raster_layer(np.random.default_rng(seed), cell, offset)
+    ocell, opoly, vcell, vpoly = rasterize_layer(layer.verts, layer.ring_offsets, layer.poly_ring_offsets, grid)
+    for cells, polys in ((ocell, opoly), (vcell, vpoly)):
+        key = polys * grid.ncells + cells
+        assert (np.diff(key) > 0).all()  # unique, sorted by (poly, cell)
+    for p in range(layer.npolys):
+        ro = layer.rings_of(p)
+        segs = [np.empty(0, dtype=np.int64)]
+        for r in range(len(ro) - 1):
+            ring = layer.verts[ro[r] : ro[r + 1]]
+            for i in range(len(ring)):
+                j = (i + 1) % len(ring)
+                segs.append(segment_cells(ring[i, 0], ring[i, 1], ring[j, 0], ring[j, 1], grid))
+        np.testing.assert_array_equal(ocell[opoly == p], np.unique(np.concatenate(segs)))
+
+        vs = layer.verts[ro[0] : ro[-1]]
+        ix0, iy0 = np.maximum(0, np.floor((vs.min(axis=0) - (grid.x0, grid.y0)) / cell).astype(np.int64))
+        ix1, iy1 = np.floor((vs.max(axis=0) - (grid.x0, grid.y0)) / cell).astype(np.int64)
+        gx, gy = np.meshgrid(np.arange(ix0, min(ix1, grid.nx - 1) + 1), np.arange(iy0, min(iy1, grid.ny - 1) + 1))
+        lin = (gy * grid.nx + gx).ravel()
+        cx, cy = grid.centers(lin)
+        want = lin[points_in_polygon(cx, cy, layer.verts, ro)]
+        np.testing.assert_array_equal(vcell[vpoly == p], np.sort(want))

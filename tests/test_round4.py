@@ -637,6 +637,28 @@ def test_hash_join_left_outer(ray_session):
     pd.testing.assert_frame_equal(got2, exp)
 
 
+def test_hash_join_left_pads_empty_right_float64(ray_session):
+    """A left join against a right side with no rows (and so no schema) pads
+    the right value columns float64 NaN, not object/None."""
+    import ray.data
+
+    from rasterflow.pipelines.relational import hash_join
+
+    left = pd.DataFrame({"k": np.arange(10), "v": np.arange(10) * 1.5})
+    right = pd.DataFrame({"k": np.arange(3), "w": np.arange(3) * 2})
+    empty = ray.data.from_pandas(right).filter(lambda r: False)
+    assert empty.schema(fetch_if_missing=True) is None
+    got = (
+        hash_join(ray.data.from_pandas(left), empty, on="k", left_cols=["v"], right_cols=["w"], how="left")
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    assert got["w"].dtype == np.float64
+    assert got["w"].isna().all()
+    pd.testing.assert_frame_equal(got[["k", "v"]], left)
+
+
 def test_group_stats_matches_numpy(ray_session):
     import ray.data
 
