@@ -54,7 +54,7 @@ def entry() -> Any:
     pts = documents_points(SF0001)
     return aggregate_by_polygon(
         pts, oracle_poly_layer(), how="hybrid", value_col="n_chars", agg="avg",
-        cell_size=0.02, concurrency=2,
+        cell_size=0.02,
     )
 
 
@@ -65,7 +65,7 @@ def entry() -> Any:
 
 def _q_agg_rect_index(sf_dir: str):
     return aggregate_by_polygon(
-        documents_points(sf_dir), oracle_rect_layer(), how="index", cell_size=0.05, concurrency=2
+        documents_points(sf_dir), oracle_rect_layer(), how="index", cell_size=0.05
     )
 
 
@@ -76,20 +76,20 @@ def _q_agg_rect_raster(sf_dir: str):
     # so this row is hash-exact; accuracy vs the exact join is separately
     # verified in tests/test_joins.py (ε-sweep) and tests/test_golden.py.
     return aggregate_by_polygon(
-        documents_points(sf_dir), oracle_rect_layer(), how="raster", cell_size=0.01, concurrency=2
+        documents_points(sf_dir), oracle_rect_layer(), how="raster", cell_size=0.01
     )
 
 
 def _q_agg_poly_index(sf_dir: str):
     return aggregate_by_polygon(
-        documents_points(sf_dir), oracle_poly_layer(), how="index", cell_size=0.05, concurrency=2
+        documents_points(sf_dir), oracle_poly_layer(), how="index", cell_size=0.05
     )
 
 
 def _q_agg_poly_hybrid_avg(sf_dir: str):
     return aggregate_by_polygon(
         documents_points(sf_dir), oracle_poly_layer(), how="hybrid",
-        value_col="n_chars", agg="avg", cell_size=0.05, concurrency=2,
+        value_col="n_chars", agg="avg", cell_size=0.05,
     )
 
 
@@ -99,7 +99,7 @@ def _q_agg_poly_sum(sf_dir: str):
     is first-class.  Integer-valued float accumulation — hash-safe."""
     return aggregate_by_polygon(
         documents_points(sf_dir), oracle_poly_layer(), how="hybrid",
-        value_col="n_chars", agg="sum", cell_size=0.05, concurrency=2,
+        value_col="n_chars", agg="sum", cell_size=0.05,
     )
 
 
@@ -176,7 +176,7 @@ def _q_pagerank_dups(sf_dir: str):
     from rasterflow.pipelines.dedup import ngram_jaccard_pairs
     from rasterflow.pipelines.graph import pagerank_fixed
 
-    pairs = ngram_jaccard_pairs(_docs(sf_dir), threshold=0.5, concurrency=2)
+    pairs = ngram_jaccard_pairs(_docs(sf_dir), threshold=0.5)
     return pagerank_fixed(pairs, iters=5)
 
 
@@ -782,7 +782,7 @@ def _q_agg_poly_sharded(sf_dir: str):
 def _q_join_rows_poly(sf_dir: str):
     out = spatial_join(
         documents_points(sf_dir), oracle_poly_layer(), how="index",
-        id_col="doc_id", cell_size=0.05, concurrency=2,
+        id_col="doc_id", cell_size=0.05,
     )
     return out.sort(["doc_id", "poly_id"])
 
@@ -790,7 +790,7 @@ def _q_join_rows_poly(sf_dir: str):
 def _q_filter_agg_rect(sf_dir: str):
     pts = documents_points(sf_dir)
     pts = apply_constraints(pts, [("lang", "EQ", "en"), ("n_chars", "GT", 500)])
-    return aggregate_by_polygon(pts, oracle_rect_layer(), how="hybrid", cell_size=0.05, concurrency=2)
+    return aggregate_by_polygon(pts, oracle_rect_layer(), how="hybrid", cell_size=0.05)
 
 
 def _q_cell_counts(sf_dir: str):
@@ -1027,7 +1027,7 @@ def _q_dedup_exact_text(sf_dir: str):
 def _q_minhash_pairs(sf_dir: str):
     from rasterflow.pipelines.dedup import minhash_lsh_pairs
 
-    out = minhash_lsh_pairs(_docs(sf_dir), threshold=0.5, concurrency=2)
+    out = minhash_lsh_pairs(_docs(sf_dir), threshold=0.5)
 
     def drop_est(t: pa.Table) -> pa.Table:
         return t.select(["id_a", "id_b"])
@@ -1038,19 +1038,19 @@ def _q_minhash_pairs(sf_dir: str):
 def _q_simhash_pairs(sf_dir: str):
     from rasterflow.pipelines.dedup import simhash_pairs
 
-    return simhash_pairs(_docs(sf_dir), max_hamming=3, concurrency=2)
+    return simhash_pairs(_docs(sf_dir), max_hamming=3)
 
 
 def _q_ngram_jaccard_pairs(sf_dir: str):
     from rasterflow.pipelines.dedup import ngram_jaccard_pairs
 
-    return ngram_jaccard_pairs(_docs(sf_dir), threshold=0.5, concurrency=2)
+    return ngram_jaccard_pairs(_docs(sf_dir), threshold=0.5)
 
 
 def _q_neardup_clusters(sf_dir: str):
     from rasterflow.pipelines.dedup import neardup_clusters
 
-    return neardup_clusters(_docs(sf_dir), threshold=0.5, concurrency=2)
+    return neardup_clusters(_docs(sf_dir), threshold=0.5)
 
 
 #: benchmark doc ids for the decontamination query (shared with the oracle)
@@ -1093,7 +1093,7 @@ def _q_quality(sf_dir: str):
 def _q_lang_id(sf_dir: str):
     from rasterflow.pipelines.textstats import lang_id
 
-    return lang_id(_docs(sf_dir), concurrency=2).sort("doc_id")
+    return lang_id(_docs(sf_dir)).sort("doc_id")
 
 
 def _q_fingerprint(sf_dir: str):
@@ -1120,7 +1120,7 @@ def _q_decode_images(sf_dir: str):
 
     out = decode_images(
         ds.map_batches(addp, batch_format="pyarrow"), payload_col="image", id_col="doc_id",
-        concurrency=2, decoder="fake",
+        decoder="fake",
     )
 
     def flatten_feature(t: pa.Table) -> pa.Table:
@@ -1142,7 +1142,7 @@ def _q_decode_images(sf_dir: str):
 def _q_decode_png(sf_dir: str):
     """REAL image decode (round 4): splitmix64 pixels → PNG encode (filter
     None for even ids, Up for odd) → pure-numpy PNG decode through the
-    actor-pool stage.  The oracle recomputes the same stats from the raw
+    per-worker task stage.  The oracle recomputes the same stats from the raw
     pixel stream WITHOUT decoding, so a hash match proves the codec
     round-trips bit-exactly end to end."""
     import ray.data
@@ -1167,7 +1167,7 @@ def _q_decode_png(sf_dir: str):
 
     out = decode_images(
         ds.map_batches(addp, batch_format="pyarrow"), payload_col="image",
-        id_col="doc_id", concurrency=2, decoder="png",
+        id_col="doc_id", decoder="png",
     )
 
     def flatten_feature(t: pa.Table) -> pa.Table:
@@ -1201,7 +1201,7 @@ def _q_resize_images(sf_dir: str):
 
     out = resize_images(
         ds.map_batches(addp, batch_format="pyarrow"), payload_col="image", id_col="doc_id",
-        size=(16, 16), concurrency=2, decoder="fake",
+        size=(16, 16), decoder="fake",
     )
 
     def checksum(t: pa.Table) -> pa.Table:
@@ -1239,7 +1239,6 @@ def _q_audio_frames(sf_dir: str):
 
     out = sample_audio_frames(
         ds.map_batches(addp, batch_format="pyarrow"), payload_col="audio", id_col="doc_id",
-        concurrency=2,
     )
 
     def energy(t: pa.Table) -> pa.Table:
@@ -1291,7 +1290,6 @@ def _q_video_frames(sf_dir: str):
         id_col="doc_id",
         total_frames=32,
         num_frames=8,
-        concurrency=2,
     )
 
     def widen(t: pa.Table) -> pa.Table:
@@ -1542,7 +1540,7 @@ def _q_bounds_contain(sf_dir: str):
         documents_points(sf_dir), oracle_poly_layer(), cell_size=0.1
     ).to_pandas()
     ex = aggregate_by_polygon(
-        documents_points(sf_dir), oracle_poly_layer(), how="index", cell_size=0.05, concurrency=2
+        documents_points(sf_dir), oracle_poly_layer(), how="index", cell_size=0.05
     ).to_pandas()
     m = ex.merge(b, on="poly_id", how="left")
     within = (
@@ -1662,8 +1660,8 @@ def _bpe_merges(sf_dir: str):
 
 def _q_bpe_token_stats(sf_dir: str):
     """REAL-tokenizer token counts (round 5): byte-BPE merges trained on the
-    corpus itself (frozen, deterministic tie-breaks), encoding in an
-    actor-pool stage with per-actor distinct-word caches.  Rows-only: the
+    corpus itself (frozen, deterministic tie-breaks), encoding in a task
+    stage with per-worker distinct-word caches.  Rows-only: the
     iterative merge loop has no SQL replica; encoding is pinned in pytest
     against an independent per-word reference implementation."""
     from rasterflow.stages.bpe import bpe_token_counts
@@ -1787,8 +1785,8 @@ FROM pack GROUP BY source, bin_id ORDER BY source, bin_id
 def _q_decode_wav(sf_dir: str):
     """REAL audio decode (round 4): splitmix64 int16 samples → WAV encode
     (odd ids carry an odd-length LIST junk chunk that exercises the RIFF
-    chunk walk + pad rule) → pure-numpy PCM16 decode through the actor-pool
-    stage.  The oracle recomputes the integer sample stats from the raw
+    chunk walk + pad rule) → pure-numpy PCM16 decode through the per-worker
+    task stage.  The oracle recomputes the integer sample stats from the raw
     stream WITHOUT decoding, so a hash match proves the codec round-trips
     bit-exactly end to end (the audio analogue of decode_png)."""
     import ray.data
@@ -1817,7 +1815,6 @@ def _q_decode_wav(sf_dir: str):
 
     return decode_wavs(
         ds.map_batches(addp, batch_format="pyarrow"), payload_col="audio", id_col="doc_id",
-        concurrency=2,
     ).sort("doc_id")
 
 

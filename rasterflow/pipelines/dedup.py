@@ -1,9 +1,10 @@
 """Deduplication operators for large-scale training-data pipelines.
 
 All are Ray-Data-native: vectorized per-batch signature computation
-(stateless tasks or actor pools), then groupby shuffles over *narrow*
-signature columns only — the wide text column never moves except where exact
-verification demands it (and then only inside candidate buckets).
+(tasks; stateful stages are built once per worker by ``util.map_stage``),
+then groupby shuffles over *narrow* signature columns only — the wide text
+column never moves except where exact verification demands it (and then
+only inside candidate buckets).
 
 - :func:`exact_dedup` — content-hash partition + min-id per group, with
   per-batch pre-aggregation so the shuffle carries one row per distinct hash
@@ -35,7 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..util import coalesce_small, grouped_aggregate, shuffle_parts
+from ..util import coalesce_small, grouped_aggregate, map_stage, shuffle_parts
 
 MERSENNE61 = (1 << 61) - 1
 _FNV = np.uint64(1099511628211)
@@ -188,9 +189,9 @@ def exact_dedup(
 
 
 class MinHashSignatures:
-    """Actor-pool stage: text batch -> (id, band rows, signature bytes).
+    """Task stage: text batch -> (id, band rows, signature bytes).
 
-    Permutation parameters are derived once per actor in ``__init__`` from a
+    Permutation parameters are derived once per worker in ``__init__`` from a
     fixed seed (stateful setup amortized across batches).
 
     Fully vectorized (round-2): shingle hashes for ALL docs come from one
@@ -386,24 +387,16 @@ def minhash_lsh_pairs(
     shingle_k: int = 5,
     threshold: float = 0.5,
     max_bucket: int = 64,
-    concurrency=(1, 8),  # accepted for API compat; task pools self-scale
 ):
     """Near-duplicate candidate pairs with signature-estimated Jaccard ≥
     threshold.  Output: (id_a, id_b, est_jaccard) deduped across bands.
 
-    The signature stage runs as a task pool with a process-cached stage
-    object (permutation tables are milliseconds to build; actor-pool
-    spin-up would dominate at small scale and adds nothing at large)."""
-    from ..util import cached_stage
-
-    params = dict(
-        content_col=content_col, id_col=id_col, num_perm=num_perm, bands=bands, shingle_k=shingle_k
+    The signature stage runs as tasks with the stage object built once per
+    worker process (``util.map_stage``)."""
+    sigs = map_stage(
+        ds, MinHashSignatures,
+        content_col=content_col, id_col=id_col, num_perm=num_perm, bands=bands, shingle_k=shingle_k,
     )
-
-    def sig_fn(b: pa.Table) -> pa.Table:
-        return cached_stage(MinHashSignatures, **params)(b)
-
-    sigs = ds.map_batches(sig_fn, batch_format="pyarrow")
 
     def run_group(g: pd.DataFrame) -> pd.DataFrame:
         return _minhash_group_pairs(g, id_col, num_perm, max_bucket)
@@ -578,7 +571,6 @@ def ngram_jaccard_pairs(
     ngram: int = 3,
     threshold: float = 0.5,
     max_bucket: int | None = None,
-    concurrency=(1, 8),
 ):
     """**Exact** word-n-gram Jaccard self-join: ALL pairs with Jaccard ≥
     threshold (prefix-filter blocking guarantees recall; SQL-oracle-matched).
@@ -598,14 +590,9 @@ def ngram_jaccard_pairs(
     posting-carry plan is kept; at corpus scales where the amplification
     bytes dominate join setup, switch to the join plan (see git history).
     """
-    from ..util import cached_stage
-
-    params = dict(content_col=content_col, id_col=id_col, ngram=ngram, threshold=threshold)
-
-    def post_fn(b: pa.Table) -> pa.Table:
-        return cached_stage(NgramPrefixPostings, **params)(b)
-
-    postings = ds.map_batches(post_fn, batch_format="pyarrow")
+    postings = map_stage(
+        ds, NgramPrefixPostings, content_col=content_col, id_col=id_col, ngram=ngram, threshold=threshold
+    )
 
     # emit-once is only safe with UNCAPPED buckets: under a max_bucket cap a
     # pair's owning (min-shared-key) bucket may have truncated one member
@@ -874,7 +861,6 @@ def neardup_clusters(
     id_col: str = "doc_id",
     ngram: int = 3,
     threshold: float = 0.5,
-    concurrency=(1, 8),
     distributed: bool = False,
     checkpoint_dir: str | None = None,
 ):
@@ -897,8 +883,7 @@ def neardup_clusters(
     round checkpoints its edge set to parquet instead of the object store
     (resumable storage footprint for dup graphs beyond cluster disk spill)."""
     pairs = ngram_jaccard_pairs(
-        ds, content_col=content_col, id_col=id_col, ngram=ngram, threshold=threshold,
-        concurrency=concurrency,
+        ds, content_col=content_col, id_col=id_col, ngram=ngram, threshold=threshold
     )
     if distributed:
         return _cc_large_small_star(pairs, id_col, checkpoint_dir=checkpoint_dir)
@@ -1024,21 +1009,13 @@ def simhash_pairs(
     id_col: str = "doc_id",
     max_hamming: int = 3,
     max_bucket: int = 64,
-    concurrency=(1, 8),
 ):
     """Near-dup pairs with SimHash Hamming distance ≤ max_hamming.
 
     Band blocking guarantees recall for Hamming ≤ 3 over 4 bands (pigeonhole:
     any pair within distance 3 agrees exactly on at least one 16-bit band).
     """
-    from ..util import cached_stage
-
-    params = dict(content_col=content_col, id_col=id_col)
-
-    def sig_fn(b: pa.Table) -> pa.Table:
-        return cached_stage(SimHashStage, **params)(b)
-
-    sigs = ds.map_batches(sig_fn, batch_format="pyarrow")
+    sigs = map_stage(ds, SimHashStage, content_col=content_col, id_col=id_col)
 
     def run_group(g: pd.DataFrame) -> pd.DataFrame:
         # NOTE: pairs are emitted from EVERY bucket that catches them and

@@ -1,7 +1,7 @@
 """Spatial point-in-polygon joins fused with per-polygon aggregation.
 
 Ray-Data-native re-expression of the reference's four join strategies
-(SURVEY.md §2.4) as **actor-pool map_batches stages emitting per-batch partial
+(SURVEY.md §2.4) as **map_batches task stages emitting per-batch partial
 aggregates**, followed by a tiny ``groupby("poly_id")`` reduce:
 
 - ``raster``  (J1, ``join/RasterJoin.cpp:196-260``): approximate with bounded
@@ -15,7 +15,8 @@ aggregates**, followed by a tiny ``groupby("poly_id")`` reduce:
   and estimated error bounds from per-outline-cell counters.
 
 Scale notes (100 TB design): the polygon bundle is broadcast once via
-``ray.put`` and pinned per actor in ``__init__`` (the GL-context analogue); the
+``ray.put`` and each stage is built once per worker process by
+``util.map_stage`` (the GL-context analogue); the
 per-batch partial collapses each batch to ≤ npolys rows, so the only shuffle is
 the final groupby over (batches × touched polys) tiny partials — there is no
 global cell_id exchange and hot (skewed) cells cost nothing beyond their local
@@ -31,14 +32,15 @@ import ray
 
 from ..geom.pip import pip_edge_lists, pip_pairs
 from ..state.bundle import PolygonBundle, build_bundle
-from ..util import grouped_aggregate, streaming_group_sum
+from ..util import grouped_aggregate, map_stage, streaming_group_sum, worker_memo
 
 _STRATEGIES = ("raster", "index", "hybrid")
 
 # §2.8 extension surface: new join techniques plug in by name — the analogue
 # of registering a GLFunction subclass in GLHandler::initFunctions
 # (join/GLHandler.cpp:157-186).  A strategy is a SpatialJoinAgg subclass
-# overriding _match_pairs.
+# overriding _match_pairs; it takes SpatialJoinAgg's constructor kwargs,
+# ``dtype`` included.
 _CUSTOM_STRATEGIES: dict[str, type] = {}
 
 
@@ -58,34 +60,14 @@ def _agg_cls(how: str) -> type:
     return _CUSTOM_STRATEGIES.get(how, SpatialJoinAgg)
 
 
-#: per-worker-process memo of deserialized bundles / constructed stages.
-#: ``ray.get`` of the same ref returns a FRESH object each call, so any
-#: lazy per-instance state (the bundle's 10^7-key ucell hash index) would be
-#: rebuilt per batch without this — measured 75x slowdown on a 16k-polygon
-#: continental bundle before the memo.  Bounded: a worker sees a handful of
-#: distinct bundles per job.
-_WORKER_MEMO: dict = {}
-_WORKER_MEMO_MAX = 64  # tile-sharded jobs touch many small tile bundles
-
-
-def _memo(key, maker):
-    v = _WORKER_MEMO.get(key)
-    if v is None:
-        if len(_WORKER_MEMO) >= _WORKER_MEMO_MAX:
-            _WORKER_MEMO.pop(next(iter(_WORKER_MEMO)))
-        v = maker()
-        _WORKER_MEMO[key] = v
-    return v
-
-
 def _get_bundle(bundle_or_ref) -> PolygonBundle:
     if isinstance(bundle_or_ref, ray.ObjectRef):
-        return _memo(("bundle", bundle_or_ref.hex()), lambda: ray.get(bundle_or_ref))
+        return worker_memo(("bundle", bundle_or_ref.hex()), lambda: ray.get(bundle_or_ref))
     return bundle_or_ref
 
 
 class SpatialJoinAgg:
-    """Actor-pool stage: point batch -> per-batch partial per-polygon aggregates.
+    """Task stage: point batch -> per-batch partial per-polygon aggregates.
 
     Emits ``(poly_id, count [, sum])`` rows for polygons touched by the batch.
     """
@@ -211,7 +193,7 @@ class SpatialJoinAgg:
 
 
 class SpatialJoinRows:
-    """Actor-pool stage materializing the join output rows ``(id, poly_id)``
+    """Task stage materializing the join output rows ``(id, poly_id)``
     (the reference never materializes pairs — BASELINE.json requires it)."""
 
     def __init__(
@@ -328,6 +310,8 @@ class RasterBoundsAgg:
 #: driver-side ray.put memo: repeated pipelines over the same (cached) bundle
 #: reuse one plasma object instead of re-serializing hundreds of MB per call.
 #: The cached value holds the bundle itself, so its id() can't be recycled.
+#: Always a ref (``ray.put`` starts Ray if needed, as executing the Dataset
+#: would), so the per-worker memo keys on the ref's hex, never on an id().
 _PUT_CACHE: dict[int, tuple] = {}
 _PUT_CACHE_MAX = 8
 
@@ -343,7 +327,7 @@ def _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells, area_fr
             max_cover_cells=max_cover_cells,
             build_area_fractions=area_fractions,
         )
-    if isinstance(b, PolygonBundle) and ray.is_initialized():
+    if isinstance(b, PolygonBundle):
         hit = _PUT_CACHE.get(id(b))
         if hit is not None and hit[0] is b:
             return hit[1]
@@ -365,8 +349,6 @@ def aggregate_by_polygon(
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
     fixed_point: bool = False,
-    compute: str = "tasks",
-    concurrency=None,
     batch_size: int = 65536,
     sort: bool = True,
     reduce: str = "driver",
@@ -384,39 +366,11 @@ def aggregate_by_polygon(
     # here as a first-class agg: the partials already carry the value sum.
     if agg not in ("count", "avg", "sum"):
         raise ValueError(f"agg must be count|avg|sum, got {agg!r}")
-    cls = _agg_cls(how)
-    # registered strategies predating the dtype plane keep their own default
-    import inspect
-
-    params = inspect.signature(cls.__init__).parameters
-    takes_dtype = "dtype" in params or any(p.kind == p.VAR_KEYWORD for p in params.values())
-    dtype_kw = {"dtype": dtype} if takes_dtype else {}
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells)
-    if compute == "tasks":
-        # stateless tasks + broadcast bundle: the per-task ray.get is a
-        # zero-copy plasma view, and Ray's task pool outruns actor-pool
-        # dispatch ~2x for this stage (measured; actors remain available for
-        # states that are genuinely expensive to materialize per task)
-        key = (
-            "agg", cls.__qualname__, ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref),
-            how, value_col, fixed_point, str(dtype),
-        )
-
-        def fn(batch: pa.Table) -> pa.Table:
-            agg = _memo(key, lambda: cls(ref, how=how, value_col=value_col, fixed_point=fixed_point, **dtype_kw))
-            return agg(batch)
-
-        partials = points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-    else:
-        kwargs = dict(
-            fn_constructor_kwargs=dict(
-                bundle=ref, how=how, value_col=value_col, fixed_point=fixed_point, **dtype_kw
-            ),
-            concurrency=concurrency if concurrency is not None else (1, 8),
-        )
-        partials = points_ds.map_batches(
-            SpatialJoinAgg, batch_format="pyarrow", batch_size=batch_size, num_cpus=1, **kwargs
-        )
+    partials = map_stage(
+        points_ds, _agg_cls(how), batch_size=batch_size,
+        bundle=ref, how=how, value_col=value_col, fixed_point=fixed_point, dtype=np.dtype(dtype),
+    )
     sum_cols = ["count"]
     if value_col is not None:
         sum_cols += ["sum_hi", "sum_lo"] if fixed_point else ["sum"]
@@ -474,31 +428,15 @@ def spatial_join(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    compute: str = "tasks",
-    concurrency=None,
     batch_size: int = 65536,
 ):
     """Materialized join rows ``(id_col, poly_id [, keep_cols...])``."""
     if how not in _STRATEGIES:
         raise ValueError(f"how must be one of {_STRATEGIES}, got {how!r}")
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells)
-    if compute == "tasks":
-        key = (
-            "rows", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref),
-            how, id_col, tuple(keep_cols),
-        )
-
-        def fn(batch: pa.Table) -> pa.Table:
-            st = _memo(key, lambda: SpatialJoinRows(ref, how=how, id_col=id_col, keep_cols=keep_cols))
-            return st(batch)
-
-        return points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-    kwargs = dict(
-        fn_constructor_kwargs=dict(bundle=ref, how=how, id_col=id_col, keep_cols=keep_cols),
-        concurrency=concurrency if concurrency is not None else (1, 8),
-    )
-    return points_ds.map_batches(
-        SpatialJoinRows, batch_format="pyarrow", batch_size=batch_size, num_cpus=1, **kwargs
+    return map_stage(
+        points_ds, SpatialJoinRows, batch_size=batch_size,
+        bundle=ref, how=how, id_col=id_col, keep_cols=tuple(keep_cols),
     )
 
 
@@ -508,8 +446,6 @@ def aggregate_with_bounds(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    compute: str = "tasks",
-    concurrency=None,
     batch_size: int = 65536,
 ):
     """J4: raster aggregate + guaranteed/estimated error bounds.
@@ -518,24 +454,8 @@ def aggregate_with_bounds(
     schema, ``RasterJoin/main.cpp:178-193``).
     """
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells, area_fractions=True)
-    if compute == "tasks":
-        key = ("bounds", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref))
-
-        def fn(batch: pa.Table) -> pa.Table:
-            # RasterBoundsAgg.__init__ sorts the outline key table — memoized
-            # per worker so it runs once, not once per batch
-            st = _memo(key, lambda: RasterBoundsAgg(ref))
-            return st(batch)
-
-        partials = points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-    else:
-        kwargs = dict(
-            fn_constructor_kwargs=dict(bundle=ref),
-            concurrency=concurrency if concurrency is not None else (1, 8),
-        )
-        partials = points_ds.map_batches(
-            RasterBoundsAgg, batch_format="pyarrow", batch_size=batch_size, num_cpus=1, **kwargs
-        )
+    # RasterBoundsAgg.__init__ sorts the outline key table: once per worker
+    partials = map_stage(points_ds, RasterBoundsAgg, batch_size=batch_size, bundle=ref)
     import pandas as pd
 
     cols = ["count", "fp_all", "fn_all", "fp_est", "fn_est"]

@@ -5,9 +5,9 @@ image stage has one REAL format: ``decoder="png"`` uses the in-repo
 pure-numpy PNG codec (:mod:`rasterflow.stages.png`, grayscale-8) and is
 oracle-verified end to end; the remaining kernels are STUBBED behind a
 deterministic fake (clearly marked; a real deployment drops in PIL/librosa
-in ``__init__``).  Everything Ray-side is real and tested: actor-pool
-signatures, Arrow binary-column handling, small-batch sizing for wide
-payloads, output schemas.
+in ``__init__``).  Everything Ray-side is real and tested: per-worker
+stages (``util.map_stage``), Arrow binary-column handling, small-batch
+sizing for wide payloads, output schemas.
 
 Scale note: binary payloads dominate block bytes — these stages default to
 small ``batch_size`` and the pipelines project the payload column away
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ..util import map_stage
 
 
 def _payload_arrays(batch: pa.Table, col: str) -> list[bytes]:
@@ -240,18 +242,13 @@ def resize_images(
     payload_col: str = "image",
     id_col: str = "url",
     size: tuple[int, int] = (32, 32),
-    concurrency=(1, 4),
     batch_size: int = 256,
     decoder: str = "auto",
 ):
-    """Actor-pool image resize stage (small batches: wide payloads)."""
-    return ds.map_batches(
-        ImageResizeStage,
-        fn_constructor_kwargs=dict(payload_col=payload_col, id_col=id_col, size=size, decoder=decoder),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+    """Image resize task stage (small batches: wide payloads)."""
+    return map_stage(
+        ds, ImageResizeStage, batch_size=batch_size,
+        payload_col=payload_col, id_col=id_col, size=tuple(size), decoder=decoder,
     )
 
 
@@ -295,10 +292,10 @@ class VideoFrameSampleStage:
 
     STUB: a "video" is ``total_frames`` fixed-size byte frames back to back;
     the sampled feature is the frame's byte sum.  A real deployment opens the
-    container once per actor (``__init__``) and decodes the same stride-
-    sampled keyframes; the Ray-side plumbing — fixed-stride selection, actor
-    pool, small batches for wide payloads, fixed-size-list output — is what
-    this stage exercises and what the oracle pins.
+    container once per worker (``__init__``) and decodes the same stride-
+    sampled keyframes; the Ray-side plumbing — fixed-stride selection,
+    per-worker stage, small batches for wide payloads, fixed-size-list
+    output — is what this stage exercises and what the oracle pins.
     """
 
     def __init__(
@@ -345,22 +342,12 @@ def sample_video_frames(
     id_col: str = "url",
     total_frames: int = 32,
     num_frames: int = 8,
-    concurrency=(1, 4),
     batch_size: int = 256,
 ):
-    """Actor-pool video frame-sampling stage (small batches: wide payloads)."""
-    return ds.map_batches(
-        VideoFrameSampleStage,
-        fn_constructor_kwargs=dict(
-            payload_col=payload_col,
-            id_col=id_col,
-            total_frames=total_frames,
-            num_frames=num_frames,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+    """Video frame-sampling task stage (small batches: wide payloads)."""
+    return map_stage(
+        ds, VideoFrameSampleStage, batch_size=batch_size,
+        payload_col=payload_col, id_col=id_col, total_frames=total_frames, num_frames=num_frames,
     )
 
 
@@ -368,30 +355,17 @@ def decode_images(
     ds,
     payload_col: str = "image",
     id_col: str = "url",
-    concurrency=(1, 4),
     batch_size: int = 256,
     decoder: str = "auto",
 ):
-    """Actor-pool image decode/feature stage (small batches: wide payloads)."""
-    return ds.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs=dict(payload_col=payload_col, id_col=id_col, decoder=decoder),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+    """Image decode/feature task stage (small batches: wide payloads)."""
+    return map_stage(
+        ds, ImageDecodeStage, batch_size=batch_size, payload_col=payload_col, id_col=id_col, decoder=decoder
     )
 
 
-def sample_audio_frames(ds, payload_col: str = "audio", id_col: str = "url", concurrency=(1, 4), batch_size: int = 256):
-    return ds.map_batches(
-        AudioFrameSampleStage,
-        fn_constructor_kwargs=dict(payload_col=payload_col, id_col=id_col),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def sample_audio_frames(ds, payload_col: str = "audio", id_col: str = "url", batch_size: int = 256):
+    return map_stage(ds, AudioFrameSampleStage, batch_size=batch_size, payload_col=payload_col, id_col=id_col)
 
 
 class WavDecodeStage:
@@ -436,13 +410,6 @@ class WavDecodeStage:
         )
 
 
-def decode_wavs(ds, payload_col: str = "audio", id_col: str = "url", concurrency=(1, 4), batch_size: int = 256):
-    """Actor-pool real-WAV decode stage (PCM16 chunk-walking codec)."""
-    return ds.map_batches(
-        WavDecodeStage,
-        fn_constructor_kwargs=dict(payload_col=payload_col, id_col=id_col),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+def decode_wavs(ds, payload_col: str = "audio", id_col: str = "url", batch_size: int = 256):
+    """Real-WAV decode task stage (PCM16 chunk-walking codec)."""
+    return map_stage(ds, WavDecodeStage, batch_size=batch_size, payload_col=payload_col, id_col=id_col)

@@ -15,7 +15,7 @@ Plan (Ray-Data-first): the sampling grid's cell ids are a ``ray.data.range``
 — the *canvas itself is the dataset*, streamed in blocks, so a
 continent-sized canvas at fine resolution never materializes.  Each block
 computes its centers, runs the exact PIP matcher of BOTH layers (bundles
-broadcast once via the object store, built per actor-memo exactly like the
+broadcast once via the object store, built once per worker exactly like the
 join family), expands per-center (A-hit × B-hit) pairs fully vectorized, and
 collapses to ``(poly_a, poly_b, n)`` partials; one collapsed-key exchange
 finalizes.  Pair cardinality is bounded by overlapping-pair count, not
@@ -33,8 +33,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom.cells import Grid
-from ..util import coalesce_small, grouped_aggregate
-from .joins import SpatialJoinAgg, _bundle_ref, _memo
+from ..util import coalesce_small, grouped_aggregate, worker_memo
+from .joins import SpatialJoinAgg, _bundle_ref
 from .packing import _ragged_arange
 
 _OVERLAY_SCHEMA = pa.schema(
@@ -106,17 +106,16 @@ def raster_area(
     overlap).  Output rows: one per polygon + a ``poly_id = -1`` union row;
     ``area = n_cells × grid.cell²``.
     """
-    import ray
     import ray.data
 
     ref = _bundle_ref(layer, accuracy_m, cell_size, 32_000_000)
-    key = ("area", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref), how)
+    key = ("area", ref.hex(), how)
     empty = pa.schema([("poly_id", pa.int32()), ("n", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch.column("id").to_numpy(zero_copy_only=False)
         cx, cy = grid.centers(ids)
-        agg = _memo(key, lambda: SpatialJoinAgg(ref, how=how))
+        agg = worker_memo(key, lambda: SpatialJoinAgg(ref, how=how))
         pts, pl = _hits(agg, cx, cy)
         if len(pts) == 0:
             return empty.empty_table()
@@ -173,18 +172,13 @@ def raster_overlay(
 
     ref_a = _bundle_ref(layer_a, accuracy_m, cell_size, 32_000_000)
     ref_b = _bundle_ref(layer_b, accuracy_m, cell_size, 32_000_000)
-    import ray
-
-    def _k(tag, ref):
-        return ("overlay", tag, ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref), how)
-
-    key_a, key_b = _k("a", ref_a), _k("b", ref_b)
+    key_a, key_b = ("overlay", "a", ref_a.hex(), how), ("overlay", "b", ref_b.hex(), how)
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch.column("id").to_numpy(zero_copy_only=False)
         cx, cy = grid.centers(ids)
-        agg_a = _memo(key_a, lambda: SpatialJoinAgg(ref_a, how=how))
-        agg_b = _memo(key_b, lambda: SpatialJoinAgg(ref_b, how=how))
+        agg_a = worker_memo(key_a, lambda: SpatialJoinAgg(ref_a, how=how))
+        agg_b = worker_memo(key_b, lambda: SpatialJoinAgg(ref_b, how=how))
         pts_a, ids_a = _hits(agg_a, cx, cy)
         pts_b, ids_b = _hits(agg_b, cx, cy)
         out_a, out_b = _cross_pairs(len(ids), pts_a, ids_a, pts_b, ids_b)

@@ -227,12 +227,12 @@ def greedy_bins_bounded(ntok: np.ndarray, budget: int, indptr: np.ndarray) -> np
 
 
 class BpeChunkStage:
-    """Actor-pool stage: documents -> budget-bounded BPE-token chunks.
+    """Task stage: documents -> budget-bounded BPE-token chunks.
 
     RAG chunking under REAL tokenizer budgets: each chunk is the longest run
     of consecutive whitespace words whose BPE token counts sum ≤ ``budget``
     (greedy reset; a single word above budget forms its own chunk — the
-    ``greedy_bins`` rule).  Per-actor distinct-word count cache (the
+    ``greedy_bins`` rule).  Per-worker distinct-word count cache (the
     ``stages.bpe.BpeCounter`` pattern); all index math vectorized, the only
     loop is per emitted chunk.  Output: ``(id, chunk_id, n_words,
     n_tok_bpe, chunk_text)``; zero-token docs yield no chunks."""
@@ -304,7 +304,6 @@ def chunk_documents_bpe(
     budget: int = 48,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=(1, 8),
     batch_size: int = 4096,
 ):
     """RAG chunking under real-tokenizer (BPE) budgets — see
@@ -312,16 +311,11 @@ def chunk_documents_bpe(
     ships once via ``ray.put``."""
     import ray
 
-    ref = ray.put(merges) if ray.is_initialized() else merges
-    out = ds.map_batches(
-        BpeChunkStage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        concurrency=concurrency,
-        fn_constructor_kwargs=dict(
-            merges_ref=ref, budget=budget, text_col=text_col, id_col=id_col
-        ),
+    from ..util import map_stage
+
+    out = map_stage(
+        ds, BpeChunkStage, batch_size=batch_size,
+        merges_ref=ray.put(merges), budget=budget, text_col=text_col, id_col=id_col,
     )
     return out.sort([id_col, "chunk_id"])
 

@@ -32,6 +32,7 @@ from ..geom.cells import Grid, encode_cells
 from ..geom.polyio import PolygonLayer
 from ..geom.projection import accuracy_to_cell_size
 from ..state.bundle import PolygonBundle
+from ..util import worker_memo
 
 
 def _tile_of_points(x: np.ndarray, y: np.ndarray, tile_res: int) -> np.ndarray:
@@ -130,13 +131,7 @@ def aggregate_by_polygon_sharded(
     tiles_ref = ray.put(tiles)
 
     def fn(batch: pa.Table) -> pa.Table:
-        from .joins import _memo
-
-        tile_map = (
-            _memo(("tiles", tiles_ref.hex()), lambda: ray.get(tiles_ref))
-            if isinstance(tiles_ref, ray.ObjectRef)
-            else tiles_ref
-        )
+        tile_map = worker_memo(("tiles", tiles_ref.hex()), lambda: ray.get(tiles_ref))
         x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         tid = _tile_of_points(x, y, tile_res)
@@ -149,10 +144,7 @@ def aggregate_by_polygon_sharded(
             # per-worker memo: a fresh ray.get per batch would rebuild each
             # tile bundle's lazy ucell hash index every batch
             sel = tid == t
-            agg = _memo(
-                ("tile_agg", bref.hex() if isinstance(bref, ray.ObjectRef) else id(bref), how),
-                lambda: SpatialJoinAgg(bref, how=how),
-            )
+            agg = worker_memo(("tile_agg", bref.hex(), how), lambda: SpatialJoinAgg(bref, how=how))
             sub = pa.table({"x": pa.array(x[sel]), "y": pa.array(y[sel])})
             part = agg(sub)
             local_ids = part.column("poly_id").to_numpy(zero_copy_only=False)

@@ -170,11 +170,52 @@ def _centroids_for(
     sample_tbl = sample_tbl.iloc[order[:sample_size]]
     sample = np.stack(sample_tbl[emb_col].to_numpy())
     cent = kmeans_lite(sample, nlist)
-    cent_ref = ray.put(cent) if ray.is_initialized() else cent
+    cent_ref = ray.put(cent)
     if full_key is not None:
         _CENTROID_CACHE.clear()  # one live centroid set: don't pin stale refs
         _CENTROID_CACHE[full_key] = (cent, cent_ref)
     return cent, cent_ref
+
+
+class IvfPartial:
+    """Per-batch IVF top-k partials: each row scores only the queries whose
+    probed clusters contain the row's nearest centroid."""
+
+    def __init__(self, cent_ref, probes_ref, qn_ref, emb_col: str, id_col: str, k: int):
+        self.cent = ray.get(cent_ref)
+        self.probes = ray.get(probes_ref)
+        self.qn = ray.get(qn_ref)
+        self.emb_col, self.id_col, self.k = emb_col, id_col, k
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..util import det_topk_indices
+
+        qn, k, id_col = self.qn, self.k, self.id_col
+        e = _normalize(_emb_matrix(batch, self.emb_col))
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        assign = (e @ self.cent.T).argmax(axis=1)
+        qcol, icol, scol = [], [], []
+        for qi in range(qn.shape[0]):
+            m = np.isin(assign, self.probes[qi])
+            if not m.any():
+                continue
+            s = e[m] @ qn[qi]
+            sub_ids = ids[m]
+            idx = det_topk_indices(s, sub_ids, k, descending=True)
+            qcol.append(np.full(len(idx), qi, dtype=np.int32))
+            icol.append(sub_ids[idx])
+            scol.append(s[idx])
+        if not qcol:
+            return pa.table(
+                {
+                    "query_id": pa.array([], type=pa.int32()),
+                    id_col: pa.array([], type=pa.int64()),
+                    "score": pa.array([], type=pa.float64()),
+                }
+            )
+        return pa.table(
+            {"query_id": np.concatenate(qcol), id_col: np.concatenate(icol), "score": np.concatenate(scol)}
+        )
 
 
 def cosine_topk_ivf(
@@ -200,46 +241,14 @@ def cosine_topk_ivf(
     )
     qn = _normalize(np.asarray(query_vecs, dtype=np.float64))
     probes = np.argsort(-(qn @ cent.T), axis=1)[:, :nprobe]  # (Q, nprobe)
-    probes_ref = ray.put(probes) if ray.is_initialized() else probes
 
-    class IvfPartial:
-        def __init__(self):
-            self.cent = ray.get(cent_ref) if isinstance(cent_ref, ray.ObjectRef) else cent_ref
-            self.probes = ray.get(probes_ref) if isinstance(probes_ref, ray.ObjectRef) else probes_ref
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            e = _normalize(_emb_matrix(batch, emb_col))
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            assign = (e @ self.cent.T).argmax(axis=1)
-            qcol, icol, scol = [], [], []
-            for qi in range(qn.shape[0]):
-                m = np.isin(assign, self.probes[qi])
-                if not m.any():
-                    continue
-                s = e[m] @ qn[qi]
-                sub_ids = ids[m]
-                from ..util import det_topk_indices
-
-                idx = det_topk_indices(s, sub_ids, k, descending=True)
-                qcol.append(np.full(len(idx), qi, dtype=np.int32))
-                icol.append(sub_ids[idx])
-                scol.append(s[idx])
-            if not qcol:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], type=pa.int32()),
-                        id_col: pa.array([], type=pa.int64()),
-                        "score": pa.array([], type=pa.float64()),
-                    }
-                )
-            return pa.table(
-                {"query_id": np.concatenate(qcol), id_col: np.concatenate(icol), "score": np.concatenate(scol)}
-            )
-
-    from ..util import coalesce_small
+    from ..util import coalesce_small, map_stage
 
     partials = coalesce_small(
-        emb_ds.map_batches(IvfPartial, batch_format="pyarrow", concurrency=(1, 4), num_cpus=1)
+        map_stage(
+            emb_ds, IvfPartial, cent_ref=cent_ref, probes_ref=ray.put(probes), qn_ref=ray.put(qn),
+            emb_col=emb_col, id_col=id_col, k=k,
+        )
     )
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -275,7 +284,7 @@ def ivf_ingest(
     np.save(os.path.join(out_dir, "_centroids.npy"), cent)
 
     def assign(b: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref) if isinstance(cent_ref, ray.ObjectRef) else cent_ref
+        c = ray.get(cent_ref)
         e = _normalize(_emb_matrix(b, emb_col))
         cl = (e @ c.T).argmax(axis=1).astype(np.int32)
         b = b.append_column("cluster", pa.array(cl))
@@ -453,17 +462,11 @@ def embedding_neardup_pairs(
     the same bucket for a band with prob (1 - θ/π)^nbits.  Exact cosine is
     verified inside each bucket; pairs deduped across bands via groupby-max.
     """
-    from ..util import cached_stage
+    from ..util import map_stage
 
-    params = dict(emb_col=emb_col, id_col=id_col, nbits=nbits, bands=bands, seed=seed)
-
-    def sig_fn(b: pa.Table) -> pa.Table:
-        # process-cached task-pool stage (plane setup is milliseconds and
-        # deterministic from the seed) — actor-pool spin-up dominated the
-        # wall time at bench scale (round 3, same trade as MinHash)
-        return cached_stage(HyperplaneLSH, **params)(b)
-
-    sigs = emb_ds.map_batches(sig_fn, batch_format="pyarrow")
+    sigs = map_stage(
+        emb_ds, HyperplaneLSH, emb_col=emb_col, id_col=id_col, nbits=nbits, bands=bands, seed=seed
+    )
 
     def run_group(g: pd.DataFrame) -> pd.DataFrame:
         from .dedup import _bucket_all_pairs

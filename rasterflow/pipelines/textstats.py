@@ -2,7 +2,7 @@
 document fingerprinting.
 
 All vectorized Arrow/RE2 kernels in stateless ``map_batches`` tasks except
-language-ID (regex set compiled once per actor).  Column names are stable so
+language-ID (regex set compiled once per worker).  Column names are stable so
 oracle SQL can alias to match.
 """
 
@@ -83,7 +83,7 @@ def quality_score(ds, text_col: str = "text", id_col: str = "doc_id"):
 class LangIdStage:
     """n-gram/stopword-profile language id over {en, es, de, fr}.
 
-    Stopword regexes are built once per actor; scoring = per-language match
+    Stopword regexes are built once per worker; scoring = per-language match
     counts normalized by token count; argmax with deterministic tie-break by
     language-code order.
     """
@@ -120,13 +120,10 @@ class LangIdStage:
         )
 
 
-def lang_id(ds, text_col: str = "text", id_col: str = "doc_id", concurrency=(1, 8)):
-    from ..util import cached_stage
+def lang_id(ds, text_col: str = "text", id_col: str = "doc_id"):
+    from ..util import map_stage
 
-    def f(b: pa.Table) -> pa.Table:
-        return cached_stage(LangIdStage, text_col=text_col, id_col=id_col)(b)
-
-    return ds.map_batches(f, batch_format="pyarrow")
+    return map_stage(ds, LangIdStage, text_col=text_col, id_col=id_col)
 
 
 def fingerprint(ds, text_col: str = "text", id_col: str = "doc_id"):

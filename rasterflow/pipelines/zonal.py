@@ -33,8 +33,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom.cells import Grid
-from ..util import coalesce_small, grouped_aggregate
-from .joins import SpatialJoinAgg, _bundle_ref, _memo
+from ..util import coalesce_small, grouped_aggregate, map_stage, worker_memo
+from .joins import SpatialJoinAgg, _bundle_ref
 
 _ZONAL_SCHEMA = pa.schema(
     [
@@ -101,17 +101,9 @@ def zonal_stats(
     the float64 ``sum`` is exact for integer-valued columns below 2^53.
     """
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells)
-    import ray
-
-    key = (
-        "zonal", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref), how, value_col,
+    partials = map_stage(
+        points_ds, SpatialZonalStats, batch_size=batch_size, bundle=ref, how=how, value_col=value_col
     )
-
-    def fn(batch: pa.Table) -> pa.Table:
-        agg = _memo(key, lambda: SpatialZonalStats(ref, how=how, value_col=value_col))
-        return agg(batch)
-
-    partials = points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
     out = grouped_aggregate(
         coalesce_small(partials, 0.25),
         "poly_id",
@@ -140,12 +132,10 @@ def spatial_anti_join(
     the raster approximation of coverage.  Pure streaming filter — no shuffle,
     the bundle ships once via the object store."""
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells)
-    import ray
-
-    key = ("anti", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref), how)
+    key = ("anti", ref.hex(), how)
 
     def fn(batch: pa.Table) -> pa.Table:
-        agg = _memo(key, lambda: SpatialJoinAgg(ref, how=how))
+        agg = worker_memo(key, lambda: SpatialJoinAgg(ref, how=how))
         b = agg.b
         x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
@@ -379,8 +369,6 @@ def buffered_polygon_counts(
     :func:`distance_to_boundary`.
     """
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, 32_000_000)
-    import ray
-
     estarts, ax, ay, bx, by = poly_edges(layer)
     dx = bx - ax
     dy = by - ay
@@ -388,7 +376,7 @@ def buffered_polygon_counts(
     l2 = np.where(l2 == 0.0, 1.0, l2)  # engine-only degenerate-edge guard
     npolys = len(estarts)
     thr = float(buffer_dist) * float(buffer_dist)
-    key = ("buffer", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref), how, thr)
+    key = ("buffer", ref.hex(), how, thr)
     empty = pa.schema([("poly_id", pa.int32()), ("n_buffer", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -396,7 +384,7 @@ def buffered_polygon_counts(
         y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         if len(x) == 0:
             return empty.empty_table()
-        agg = _memo(key, lambda: SpatialJoinAgg(ref, how=how))
+        agg = worker_memo(key, lambda: SpatialJoinAgg(ref, how=how))
         lin, valid = agg.b.grid.locate_linear(x, y)
         vidx = np.flatnonzero(valid)
         ok = np.zeros((len(x), npolys), dtype=bool)
@@ -856,18 +844,17 @@ def poly_group_entropy(
     Returns ``(poly_id, n, entropy)``.
     """
     import pandas as pd
-    import ray
 
     from ..util import _hash_cols, shuffle_parts
 
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, 32_000_000)
-    key = ("pentropy", ref.hex() if isinstance(ref, ray.ObjectRef) else id(ref), how)
+    key = ("pentropy", ref.hex(), how)
     gidx = {g: i for i, g in enumerate(groups)}
     num_partitions = shuffle_parts(0.5)
     empty = pa.schema([("poly_id", pa.int32()), ("gi", pa.int64()), ("n", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
-        agg = _memo(key, lambda: SpatialJoinAgg(ref, how=how))
+        agg = worker_memo(key, lambda: SpatialJoinAgg(ref, how=how))
         x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         lin, valid = agg.b.grid.locate_linear(x, y)

@@ -11,12 +11,12 @@ Design for scale:
   frequency (zipf: the tail adds negligible pair mass), and the merge loop
   runs driver-side over that bounded table — the standard practice (BPE
   training is inherently sequential in the merge rank).
-- **Encoding** is an actor-pool stage: the ranked merge table ships once
-  via ``ray.put``; each actor builds its rank dict in ``__init__`` and
-  keeps a per-actor word→count cache, so a zipfian batch encodes only its
-  DISTINCT words (factorize + bincount does the per-doc sums — no per-doc
-  Python loop; the unavoidable per-WORD merge loop is amortized across the
-  corpus by the cache).
+- **Encoding** is a task stage (``util.map_stage``): the ranked merge table
+  ships once via ``ray.put``; each worker process builds the stage — its
+  rank dict and a word→count cache — once, so a zipfian batch encodes only
+  its DISTINCT words (factorize + bincount does the per-doc sums — no
+  per-doc Python loop; the unavoidable per-WORD merge loop is amortized
+  across the corpus by the cache).
 
 Determinism: merge selection tie-breaks (freq desc, pair lexicographic);
 training and encoding are pure functions of (corpus, num_merges, top_k).
@@ -127,12 +127,13 @@ def train_bpe_on_dataset(
 
 
 class BpeCounter:
-    """Actor-pool stage: text batch -> (id passthrough cols, n_tok_bpe).
+    """Task stage: text batch -> (id passthrough cols, n_tok_bpe).
 
-    The ranked merge table is fetched from the object store ONCE per actor
-    (``__init__``); per-batch work factorizes the batch's tokens so each
-    DISTINCT word is encoded at most once per actor lifetime (cache), then
-    one ``np.bincount`` sums token counts per document."""
+    The ranked merge table is fetched from the object store ONCE per worker
+    process (``__init__`` under ``util.map_stage``); per-batch work
+    factorizes the batch's tokens so each DISTINCT word is encoded at most
+    once per worker (cache), then one ``np.bincount`` sums token counts per
+    document."""
 
     def __init__(self, merges_ref, text_col: str = "text", keep_cols: tuple[str, ...] = ("doc_id",)):
         import ray
@@ -196,20 +197,16 @@ def bpe_word_count_rows(
     merges,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency=(1, 8),
     batch_size: int = 4096,
 ):
     """Per-word BPE counts as rows — see :class:`BpeWordRows`."""
     import ray
 
-    ref = ray.put(merges) if ray.is_initialized() else merges
-    return ds.map_batches(
-        BpeWordRows,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        concurrency=concurrency,
-        fn_constructor_kwargs=dict(merges_ref=ref, text_col=text_col, keep_cols=(id_col,)),
+    from ..util import map_stage
+
+    return map_stage(
+        ds, BpeWordRows, batch_size=batch_size,
+        merges_ref=ray.put(merges), text_col=text_col, keep_cols=(id_col,),
     )
 
 
@@ -218,18 +215,14 @@ def bpe_token_counts(
     merges: list[tuple[bytes, bytes]],
     text_col: str = "text",
     keep_cols: tuple[str, ...] = ("doc_id",),
-    concurrency=(1, 8),
     batch_size: int = 4096,
 ):
     """Per-document BPE token counts under a frozen merge table."""
     import ray
 
-    ref = ray.put(merges) if ray.is_initialized() else merges
-    return ds.map_batches(
-        BpeCounter,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        concurrency=concurrency,
-        fn_constructor_kwargs=dict(merges_ref=ref, text_col=text_col, keep_cols=keep_cols),
+    from ..util import map_stage
+
+    return map_stage(
+        ds, BpeCounter, batch_size=batch_size,
+        merges_ref=ray.put(merges), text_col=text_col, keep_cols=tuple(keep_cols),
     )

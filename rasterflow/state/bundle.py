@@ -24,7 +24,7 @@ Packs, for one (layer, canvas grid) pair, everything a join actor needs:
 Outline and cover cells come from one vectorized pass over the whole layer
 (``geom.rasterize.rasterize_layer``).  The bundle is a pure function of
 (layer, grid): built once on the driver (and cached on disk), shipped once
-via ``ray.put``, pinned per actor in ``__init__``.
+via ``ray.put``, held once per worker process (``util.worker_memo``).
 """
 
 from __future__ import annotations

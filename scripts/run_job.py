@@ -43,7 +43,6 @@ def main() -> int:
     ap.add_argument("--agg", choices=["count", "avg"], default="count")
     ap.add_argument("--geocoder", choices=["text", "url"], default="text")
     ap.add_argument("--partition-size", type=int, default=64, help="input files per resumable partition")
-    ap.add_argument("--concurrency", type=int, default=0, help="join actor pool size (0 = cpus)")
     ap.add_argument("--target-val", default="en", help="dsir/lm-filter: target lang slice")
     ap.add_argument("--topk", type=int, default=1000, help="dsir/lm-filter: rows kept")
     ap.add_argument("--threshold", type=float, default=0.45, help="semdedup: cosine near-dup threshold")
@@ -76,7 +75,6 @@ def main() -> int:
     if not paths:
         print(f"no parquet inputs under {args.input}", file=sys.stderr)
         return 2
-    ncpu = args.concurrency or int(ray.cluster_resources().get("CPU", 8))
 
     if args.pipeline == "ingest":
         parts = partition_files(paths, args.partition_size)
@@ -324,7 +322,7 @@ def main() -> int:
     def build(files):
         pts = _points_ds(files, args, extract_text, PreparePoints)
         if args.pipeline == "bounds":
-            return aggregate_with_bounds(pts, layer, accuracy_m=args.accuracy_m, concurrency=(2, ncpu))
+            return aggregate_with_bounds(pts, layer, accuracy_m=args.accuracy_m)
         if args.pipeline == "zonal":
             # partitions keep (count, sum, min, max) partials — all four are
             # mergeable, so the final combine is a tiny groupby
@@ -345,7 +343,6 @@ def main() -> int:
             value_col=args.value_col,
             agg="sum",
             accuracy_m=args.accuracy_m,
-            concurrency=(2, ncpu),
             sort=False,
         )
 

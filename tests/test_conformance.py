@@ -31,7 +31,7 @@ def test_fixed_point_avg_matches_reference_encoding(small_pts, ray_session):
 
     pts_v = pts.map_batches(add_val, batch_format="pyarrow")
     got = aggregate_by_polygon(
-        pts_v, layer, how="index", value_col="val", agg="avg", fixed_point=True, concurrency=2
+        pts_v, layer, how="index", value_col="val", agg="avg", fixed_point=True
     ).to_pandas()
     # oracle: reference encode/decode (main.cpp:204-220): per point
     # hi=trunc(v)//100, lo=trunc((v-100*hi)*10); avg=(Σhi*100+Σlo/10)/n
@@ -94,7 +94,7 @@ def test_tiny2_end_to_end(ray_session):
     )
     ds = ray.data.from_arrow(pts)
     for how in ("index", "hybrid"):
-        out = aggregate_by_polygon(ds, layer, how=how, cell_size=0.01, concurrency=2).to_pandas()
+        out = aggregate_by_polygon(ds, layer, how=how, cell_size=0.01).to_pandas()
         dense = dict(zip(out["poly_id"], out["count"]))
         assert dense == {0: 2, 1: 3}, (how, dense)
 
@@ -105,11 +105,11 @@ def test_accuracy_protocol_csv_sweep(small_pts, tmp_path, ray_session):
     pts, tbl = small_pts
     layer = neigh_like_layer(20, seed=9)
     end_time = 1341128000
-    exact = aggregate_by_polygon(pts, layer, how="index", concurrency=2).to_pandas()
+    exact = aggregate_by_polygon(pts, layer, how="index").to_pandas()
     write_agg_csv(exact, tmp_path, layer.npolys, end_time, 0)
     errs = {}
     for eps in (400, 100):
-        got = aggregate_by_polygon(pts, layer, how="raster", accuracy_m=float(eps), concurrency=2).to_pandas()
+        got = aggregate_by_polygon(pts, layer, how="raster", accuracy_m=float(eps)).to_pandas()
         write_agg_csv(got, tmp_path, layer.npolys, end_time, eps)
         a = read_agg_csv(tmp_path / f"raster_{end_time}_{eps}.csv")
         b = read_agg_csv(tmp_path / f"raster_{end_time}_0.csv")
@@ -126,7 +126,7 @@ def test_bounds_csv_format(small_pts, tmp_path):
 
     pts, _ = small_pts
     layer = neigh_like_layer(10, seed=3)
-    out = aggregate_with_bounds(pts, layer, accuracy_m=400.0, concurrency=2).to_pandas()
+    out = aggregate_with_bounds(pts, layer, accuracy_m=400.0).to_pandas()
     p = write_bounds_csv(out, tmp_path, layer.npolys, 123, 400)
     lines = p.read_text().splitlines()
     assert len(lines) == layer.npolys

@@ -47,7 +47,7 @@ def test_exact_dedup(ray_session):
 
 def test_minhash_lsh_finds_near_dup(ray_session):
     ds, _ = make_docs(ray_session)
-    out = minhash_lsh_pairs(ds, threshold=0.4, concurrency=2).to_pandas()
+    out = minhash_lsh_pairs(ds, threshold=0.4).to_pandas()
     pairs = set(zip(out["id_a"], out["id_b"]))
     assert (0, 1) in pairs  # exact dup → est_jaccard 1.0
     assert out[(out["id_a"] == 0) & (out["id_b"] == 1)]["est_jaccard"].iloc[0] == 1.0
@@ -57,7 +57,7 @@ def test_minhash_lsh_finds_near_dup(ray_session):
 
 def test_ngram_jaccard_pairs(ray_session):
     ds, texts = make_docs(ray_session)
-    out = ngram_jaccard_pairs(ds, threshold=0.3, concurrency=2).to_pandas()
+    out = ngram_jaccard_pairs(ds, threshold=0.3).to_pandas()
     pairs = set(zip(out["id_a"], out["id_b"]))
     assert (0, 1) in pairs
     row = out[(out["id_a"] == 0) & (out["id_b"] == 1)]
@@ -115,7 +115,7 @@ def test_ngram_jaccard_exact_vs_bruteforce(ray_session, threshold):
         texts.append(" ".join(b))
     texts += ["", "   "]  # zero-gram docs must be ignored
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
-    out = ngram_jaccard_pairs(ds, ngram=3, threshold=threshold, concurrency=2).to_pandas()
+    out = ngram_jaccard_pairs(ds, ngram=3, threshold=threshold).to_pandas()
     got = {(int(a), int(b)): j for a, b, j in zip(out["id_a"], out["id_b"], out["jaccard"])}
     exp = _brute_jaccard_pairs(texts, 3, threshold)
     assert len(exp) > 50  # the fixture must actually exercise dense buckets
@@ -152,7 +152,7 @@ def test_ngram_jaccard_hot_gram_uncapped(ray_session):
 
 def test_simhash_pairs(ray_session):
     ds, _ = make_docs(ray_session)
-    out = simhash_pairs(ds, max_hamming=3, concurrency=2).to_pandas()
+    out = simhash_pairs(ds, max_hamming=3).to_pandas()
     pairs = set(zip(out["id_a"], out["id_b"]))
     assert (0, 1) in pairs
     assert out[(out["id_a"] == 0) & (out["id_b"] == 1)]["hamming"].iloc[0] == 0
@@ -169,7 +169,7 @@ def test_token_count_and_quality(ray_session):
 
 def test_lang_id(ray_session):
     ds, _ = make_docs(ray_session)
-    out = lang_id(ds, concurrency=2).to_pandas().sort_values("doc_id")
+    out = lang_id(ds).to_pandas().sort_values("doc_id")
     assert out["lang_pred"].iloc[0] == "en"
     assert out["lang_pred"].iloc[4] == "es"
     assert out["lang_pred"].iloc[5] == "de"
@@ -271,16 +271,16 @@ def test_multimodal_stub_stages(ray_session):
     payloads = [rng.integers(0, 256, size=rng.integers(64, 2048)).astype(np.uint8).tobytes() for _ in range(20)]
     df = pd.DataFrame({"url": [f"u{i}" for i in range(20)], "image": payloads, "audio": payloads})
     ds = ray.data.from_arrow(pa.Table.from_pandas(df))
-    img = decode_images(ds, concurrency=2).to_pandas()
+    img = decode_images(ds).to_pandas()
     assert set(img.columns) == {"url", "width", "height", "mean_luma", "feature"}
     assert len(img) == 20
     assert all(len(f) == 8 for f in img["feature"])
     # determinism across runs
-    img2 = decode_images(ds, concurrency=2).to_pandas()
+    img2 = decode_images(ds).to_pandas()
     pd.testing.assert_frame_equal(
         img.sort_values("url").reset_index(drop=True), img2.sort_values("url").reset_index(drop=True)
     )
-    au = sample_audio_frames(ds, concurrency=2).to_pandas()
+    au = sample_audio_frames(ds).to_pandas()
     assert all(len(f) == 16 for f in au["frames"])
 
 
@@ -305,7 +305,7 @@ def test_minhash_recall_on_injected_neardups(ray_session):
         ids.append(10000 + k)
         injected.append((int(src_id), 10000 + k))
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts})).repartition(8)
-    out = minhash_lsh_pairs(ds, threshold=0.5, concurrency=2).to_pandas()
+    out = minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
     pairs = set(zip(out["id_a"], out["id_b"]))
     found = sum(1 for p in injected if p in pairs)
     assert found / len(injected) >= 0.85, f"recall {found}/{len(injected)}"
@@ -326,7 +326,7 @@ def test_neardup_clusters(ray_session):
         "unrelated words entirely different content here today",  # 4
     ]
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
-    out = neardup_clusters(ds, threshold=0.4, concurrency=2).to_pandas()
+    out = neardup_clusters(ds, threshold=0.4).to_pandas()
     got = dict(zip(out["doc_id"], out["rep_id"]))
     assert got.get(0) == 0 and got.get(1) == 0 and got.get(2) == 0
     assert 3 not in got and 4 not in got
@@ -355,8 +355,8 @@ def test_neardup_clusters_distributed_matches_driver(ray_session):
     for i in range(10):
         texts.append(" ".join(rng.choice(vocab, size=4)) + f" unique{i}a unique{i}b unique{i}c")
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
-    drv = neardup_clusters(ds, threshold=0.4, concurrency=2).to_pandas()
-    dist = neardup_clusters(ds, threshold=0.4, concurrency=2, distributed=True).to_pandas()
+    drv = neardup_clusters(ds, threshold=0.4).to_pandas()
+    dist = neardup_clusters(ds, threshold=0.4, distributed=True).to_pandas()
     assert len(drv) > 10  # the fixture must actually produce clusters
     pd.testing.assert_frame_equal(
         drv.reset_index(drop=True), dist.reset_index(drop=True), check_dtype=False
@@ -381,9 +381,9 @@ def test_star_cc_parquet_checkpoints(ray_session, tmp_path):
             texts.append(" ".join(doc))
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": np.arange(len(texts)), "text": texts}))
     ck = str(tmp_path / "cc_ck")
-    dist = neardup_clusters(ds, threshold=0.4, concurrency=2, distributed=True).to_pandas()
+    dist = neardup_clusters(ds, threshold=0.4, distributed=True).to_pandas()
     ckpt = neardup_clusters(
-        ds, threshold=0.4, concurrency=2, distributed=True, checkpoint_dir=ck
+        ds, threshold=0.4, distributed=True, checkpoint_dir=ck
     ).to_pandas()
     assert len(dist) > 0
     pd.testing.assert_frame_equal(
@@ -465,10 +465,10 @@ def test_resize_images_fixed_stride(ray_session):
     payloads = [rng.integers(0, 256, size=rng.integers(16, 600)).astype(np.uint8).tobytes() for _ in range(12)]
     df = pd.DataFrame({"url": [f"u{i}" for i in range(12)], "image": payloads})
     ds = ray.data.from_arrow(pa.Table.from_pandas(df))
-    out = resize_images(ds, size=(8, 16), concurrency=2, decoder="fake").to_pandas()
+    out = resize_images(ds, size=(8, 16), decoder="fake").to_pandas()
     assert len(out) == 12
     assert all(len(t) == 8 * 16 for t in out["thumb"])
-    out2 = resize_images(ds, size=(8, 16), concurrency=2, decoder="fake").to_pandas()
+    out2 = resize_images(ds, size=(8, 16), decoder="fake").to_pandas()
     pd.testing.assert_frame_equal(
         out.sort_values("url").reset_index(drop=True),
         out2.sort_values("url").reset_index(drop=True),

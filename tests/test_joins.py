@@ -52,7 +52,7 @@ def to_dense(df, npolys, col="count"):
 def test_index_join_matches_brute(points_and_layer):
     pts, layer, tbl = points_and_layer
     oracle = brute_counts(tbl, layer)
-    got = aggregate_by_polygon(pts, layer, how="index", accuracy_m=50.0, concurrency=2).to_pandas()
+    got = aggregate_by_polygon(pts, layer, how="index", accuracy_m=50.0).to_pandas()
     np.testing.assert_array_equal(to_dense(got, layer.npolys), oracle)
 
 
@@ -60,7 +60,7 @@ def test_hybrid_equals_index_exactly(points_and_layer):
     pts, layer, tbl = points_and_layer
     oracle = brute_counts(tbl, layer)
     for eps in (200.0, 50.0):
-        got = aggregate_by_polygon(pts, layer, how="hybrid", accuracy_m=eps, concurrency=2).to_pandas()
+        got = aggregate_by_polygon(pts, layer, how="hybrid", accuracy_m=eps).to_pandas()
         np.testing.assert_array_equal(to_dense(got, layer.npolys), oracle)
 
 
@@ -69,7 +69,7 @@ def test_raster_error_bounded_and_improves(points_and_layer):
     exact = brute_counts(tbl, layer)
     errs = []
     for eps in (400.0, 100.0, 25.0):
-        got = aggregate_by_polygon(pts, layer, how="raster", accuracy_m=eps, concurrency=2).to_pandas()
+        got = aggregate_by_polygon(pts, layer, how="raster", accuracy_m=eps).to_pandas()
         dense = to_dense(got, layer.npolys)
         errs.append(np.abs(dense - exact).sum())
     # error shrinks (weakly) as ε shrinks, and is small at the finest ε
@@ -81,7 +81,7 @@ def test_raster_exact_when_cells_tiny(points_and_layer):
     # with cells much smaller than polygon features, raster ≈ exact
     pts, layer, tbl = points_and_layer
     exact = brute_counts(tbl, layer)
-    got = aggregate_by_polygon(pts, layer, how="raster", accuracy_m=10.0, concurrency=2).to_pandas()
+    got = aggregate_by_polygon(pts, layer, how="raster", accuracy_m=10.0).to_pandas()
     dense = to_dense(got, layer.npolys)
     assert np.abs(dense - exact).sum() <= max(2, 0.005 * exact.sum())
 
@@ -94,7 +94,7 @@ def test_avg_aggregation(points_and_layer, ray_session):
         return b.append_column("val", pa.array(v))
 
     pts_v = pts.map_batches(add_val, batch_format="pyarrow")
-    got = aggregate_by_polygon(pts_v, layer, how="index", value_col="val", agg="avg", concurrency=2).to_pandas()
+    got = aggregate_by_polygon(pts_v, layer, how="index", value_col="val", agg="avg").to_pandas()
     # oracle
     x = tbl["x"].to_numpy(); y = tbl["y"].to_numpy()
     v = (tbl["t"].to_numpy().astype(np.int64) % 1000).astype(np.float64)
@@ -107,7 +107,7 @@ def test_avg_aggregation(points_and_layer, ray_session):
 
 def test_join_rows_match_brute(points_and_layer):
     pts, layer, tbl = points_and_layer
-    rows = spatial_join(pts, layer, how="index", id_col="url", concurrency=2).to_pandas()
+    rows = spatial_join(pts, layer, how="index", id_col="url").to_pandas()
     got = set(zip(rows["url"], rows["poly_id"]))
     x = tbl["x"].to_numpy(); y = tbl["y"].to_numpy(); urls = tbl["url"].to_numpy()
     expect = set()
@@ -120,7 +120,7 @@ def test_join_rows_match_brute(points_and_layer):
 def test_bounds_contain_exact(points_and_layer):
     pts, layer, tbl = points_and_layer
     exact = brute_counts(tbl, layer)
-    out = aggregate_with_bounds(pts, layer, accuracy_m=300.0, concurrency=2).to_pandas()
+    out = aggregate_with_bounds(pts, layer, accuracy_m=300.0).to_pandas()
     dense_lb = np.zeros(layer.npolys); dense_ub = np.full(layer.npolys, np.inf)
     for _, r in out.iterrows():
         p = int(r["poly_id"])
@@ -226,16 +226,6 @@ def test_many_small_polys_edge_parallel_path(ray_session):
         assert dense[int(p)] == expect, p
 
 
-def test_actor_pool_compute_path(points_and_layer):
-    # compute="actors" must give identical results to the default task path
-    pts, layer, tbl = points_and_layer
-    oracle = brute_counts(tbl, layer)
-    got = aggregate_by_polygon(
-        pts, layer, how="hybrid", accuracy_m=100.0, compute="actors", concurrency=2
-    ).to_pandas()
-    np.testing.assert_array_equal(to_dense(got, layer.npolys), oracle)
-
-
 def test_custom_strategy_registration(points_and_layer):
     """SURVEY §2.8: a new join technique plugs in by name (GLFunction analogue)."""
     from rasterflow.pipelines.joins import SpatialJoinAgg, register_strategy
@@ -243,8 +233,8 @@ def test_custom_strategy_registration(points_and_layer):
     class BboxOnlyJoin(SpatialJoinAgg):
         """Counts candidate pairs without PIP refinement (an upper bound)."""
 
-        def __init__(self, bundle, how="bbox", value_col=None, fixed_point=False):
-            super().__init__(bundle, how="index", value_col=value_col, fixed_point=fixed_point)
+        def __init__(self, bundle, how="bbox", value_col=None, fixed_point=False, dtype=np.float64):
+            super().__init__(bundle, how="index", value_col=value_col, fixed_point=fixed_point, dtype=dtype)
 
         def _match_pairs(self, x, y, lin):
             b = self.b
@@ -265,9 +255,9 @@ def test_f32_plane_matches_f64_closely(points_and_layer):
     may flip only points within f32 epsilon of a polygon edge — on the
     random fixture the per-polygon counts must match f64 almost everywhere."""
     pts, layer, tbl = points_and_layer
-    a = aggregate_by_polygon(pts, layer, how="hybrid", accuracy_m=50.0, concurrency=2).to_pandas()
+    a = aggregate_by_polygon(pts, layer, how="hybrid", accuracy_m=50.0).to_pandas()
     b = aggregate_by_polygon(
-        pts, layer, how="hybrid", accuracy_m=50.0, concurrency=2, dtype=np.float32
+        pts, layer, how="hybrid", accuracy_m=50.0, dtype=np.float32
     ).to_pandas()
     da = to_dense(a, layer.npolys)
     db = to_dense(b, layer.npolys)

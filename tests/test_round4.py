@@ -564,7 +564,6 @@ def test_decode_stage_png_path(ray_session):
             ray.data.from_pandas(df).repartition(3),
             payload_col="image",
             id_col="doc_id",
-            concurrency=2,
             decoder="png",
         )
         .to_pandas()

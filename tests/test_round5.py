@@ -407,10 +407,10 @@ def test_aggregate_by_polygon_sum(ray_session):
 
     pts_v = pts.map_batches(add_val, batch_format="pyarrow")
     got = aggregate_by_polygon(
-        pts_v, layer, how="hybrid", value_col="val", agg="sum", concurrency=2
+        pts_v, layer, how="hybrid", value_col="val", agg="sum"
     ).to_pandas()
     exact = aggregate_by_polygon(
-        pts_v, layer, how="index", value_col="val", agg="sum", concurrency=2
+        pts_v, layer, how="index", value_col="val", agg="sum"
     ).to_pandas()
     pd.testing.assert_frame_equal(got.reset_index(drop=True), exact.reset_index(drop=True))
     assert list(got.columns) == ["poly_id", "count", "sum"]

@@ -201,10 +201,11 @@ def test_worker_memo_and_put_cache(ray_session):
     from rasterflow.pipelines import joins as J
     from rasterflow.sources.fixtures import tiny2_layer
     from rasterflow.state.bundle import build_bundle
+    from rasterflow.util import worker_memo
 
     calls = []
-    a = J._memo(("t", 1), lambda: calls.append(1) or object())
-    b = J._memo(("t", 1), lambda: calls.append(1) or object())
+    a = worker_memo(("t", 1), lambda: calls.append(1) or object())
+    b = worker_memo(("t", 1), lambda: calls.append(1) or object())
     assert a is b and len(calls) == 1
     bundle = build_bundle(tiny2_layer(), cell_size=0.05)
     r1 = J._bundle_ref(bundle, None, None, 0)

@@ -76,6 +76,6 @@ def test_decode_stage(ray_session):
     ds = ray.data.from_arrow(
         pa.table({"url": df["url"], "audio": pa.array(df["audio"], type=pa.binary())})
     ).repartition(3)
-    out = decode_wavs(ds, concurrency=2).to_pandas().sort_values("url").reset_index(drop=True)
+    out = decode_wavs(ds).to_pandas().sort_values("url").reset_index(drop=True)
     assert (out["n_samples"] == 64).all()
     np.testing.assert_array_equal(out["sum_samples"].to_numpy(), df["_sum"].to_numpy())
