@@ -12,6 +12,7 @@ from rasterflow.pipelines.joins import aggregate_by_polygon, spatial_join
 from rasterflow.pipelines.knn import knn_brute
 from rasterflow.sources.csvout import read_agg_csv, write_agg_csv
 from rasterflow.sources.fixtures import neigh_like_layer, pages_dataset
+from rasterflow.stages.extract import extract_text
 from rasterflow.stages.geocode import prepare_points
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,8 +30,8 @@ def fix(ray_session):
 
 def test_text_sha256_identity(fix):
     ds, _, _ = fix
-    pdf = ds.to_pandas()[["url", "text"]]
-    pdf["sha256"] = [hashlib.sha256(t.encode()).hexdigest() for t in pdf["text"]]
+    pdf = ds.map_batches(extract_text, batch_format="pyarrow").to_pandas()[["url", "text2"]]
+    pdf["sha256"] = [hashlib.sha256(t.encode()).hexdigest() for t in pdf["text2"]]
     got = pdf[["url", "sha256"]].sort_values("url").reset_index(drop=True)
     exp = pd.read_parquet(GOLDEN / "text_sha256.parquet").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, exp)
