@@ -15,8 +15,8 @@ point on a shared border is assigned to at most one polygon deterministically
 over *edges* — polygons are the small broadcast side (tens of vertices),
 points come in 10^4-10^5-row batches, so the inner ops are numpy over the long
 axis.  ``pip_edge_lists`` instead takes a short precomputed edge list per pair
-(the hybrid join's per-border-cell lists) and runs one flat pass over every
-(pair, edge) row.
+(the hybrid join's per-border-cell lists, each for a ray to whichever side
+of the polygon is nearer) and runs one flat pass over every (pair, edge) row.
 """
 
 from __future__ import annotations
@@ -174,17 +174,22 @@ def pip_edge_lists(
     pair_point: np.ndarray,
     edge_start: np.ndarray,
     edge_stop: np.ndarray,
+    edge_left: np.ndarray,
     edge_ids: np.ndarray,
     edges: np.ndarray,
 ) -> np.ndarray:
     """PIP for (point, polygon) pairs whose parity-relevant edges are known.
 
     Pair ``i`` is tested against ``edge_ids[edge_start[i]:edge_stop[i]]``
-    only (columns of ``edges``, from :func:`edge_table`); every other edge of
-    the polygon must be unable to flip parity for that point.  One flat pass
-    over all (pair, edge) rows with the crossing test of ``points_in_ring``,
-    then parity per pair by ``logical_xor.reduceat``.  Arithmetic runs in
-    ``edges``' dtype.
+    only (columns of ``edges``, from :func:`edge_table`), with a ray going
+    right (counting ``tx < xint``, the test of ``points_in_ring``) or, where
+    ``edge_left[i]``, left (counting ``tx >= xint``); every other edge of
+    the polygon must be unable to flip parity for that ray.  Both rays give
+    the same parity: a closed ring has an even number of edges straddling
+    ``ty`` under the half-open test, and each one is counted by exactly one
+    of the two tests.  One flat pass over all (pair, edge) rows, then parity
+    per pair by ``logical_xor.reduceat``.  Arithmetic runs in ``edges``'
+    dtype.
     """
     inside = np.zeros(len(pair_point), dtype=bool)
     counts = edge_stop - edge_start
@@ -203,7 +208,10 @@ def pip_edge_lists(
         xint = ty - viy
         xint *= k
         xint += vix
-    cond &= tx < xint
+    right = tx < xint
+    # a left row counts the straddling edges the right test leaves out
+    np.not_equal(right, np.repeat(edge_left, counts), out=right)
+    cond &= right
     nonempty = counts > 0
     inside[nonempty] = np.logical_xor.reduceat(cond, row_start[nonempty])
     return inside

@@ -31,7 +31,7 @@ import pyarrow as pa
 import ray
 
 from ..geom.pip import pip_edge_lists, pip_pairs
-from ..state.bundle import PolygonBundle, build_bundle
+from ..state.bundle import PolygonBundle, build_bundle, csr_expand
 from ..util import grouped_aggregate, map_stage, streaming_group_sum, worker_memo
 
 _STRATEGIES = ("raster", "index", "hybrid")
@@ -94,36 +94,10 @@ class SpatialJoinAgg:
         self.dtype = np.dtype(dtype)
 
     @staticmethod
-    def _expand(indptr: np.ndarray, values: np.ndarray, idx: np.ndarray, hit: np.ndarray):
+    def _expand(indptr: np.ndarray, values: np.ndarray, idx: np.ndarray, hit: np.ndarray | None = None):
         """CSR expansion given pre-located unified-cell positions."""
-        point_idx, val_idx = SpatialJoinAgg._expand_idx(indptr, len(values), idx, hit)
+        point_idx, val_idx = csr_expand(indptr, idx, hit)
         return point_idx, values[val_idx]
-
-    @staticmethod
-    def _expand_idx(indptr: np.ndarray, nvalues: int, idx: np.ndarray, hit: np.ndarray):
-        """``(point_idx, val_idx)`` of the CSR expansion: ``val_idx`` indexes
-        the value array (and anything aligned with it).
-
-        int32 index arithmetic: a batch has < 2^31 rows and the bundle's
-        value arrays are bounded by max_cover_cells — expansion indices are
-        the largest arrays this stage allocates, so halving their width
-        halves the dominant non-PIP memory traffic."""
-        starts = indptr[idx]
-        counts = np.where(hit, indptr[idx + 1] - starts, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        idx_t = np.int32 if len(idx) < 2**31 else np.int64
-        # val_t arrays (within / run_starts) hold values up to `total`, the
-        # expanded pair count — not len(values) — so the narrowing test must
-        # use total or np.arange wraps silently (ADVICE r2)
-        val_t = np.int32 if total < 2**31 and nvalues < 2**31 else np.int64
-        point_idx = np.repeat(np.arange(len(idx), dtype=idx_t), counts)
-        run_ends = np.cumsum(counts)
-        run_starts = (run_ends - counts).astype(val_t, copy=False)
-        within = np.arange(total, dtype=val_t) - np.repeat(run_starts, counts)
-        val_idx = np.repeat(starts.astype(val_t, copy=False), counts) + within
-        return point_idx, val_idx
 
     def _match_pairs(self, x, y, lin) -> tuple[np.ndarray, np.ndarray]:
         """(point_idx, poly_id) matched pairs under the strategy's semantics.
@@ -131,7 +105,9 @@ class SpatialJoinAgg:
         One lookup in the unified cell table serves candidate lists, cover
         lists and the border flag.  ``index`` tests every candidate pair
         against every edge of its polygon (``pip_pairs``, the oracle);
-        ``hybrid`` tests border pairs only against their cell's edge list."""
+        ``hybrid`` drops the points that hit no cell, then expands the rest
+        through the cover lists off the border and tests border pairs only
+        against their cell's edge list."""
         b = self.b
         if len(b.ucells) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
@@ -143,20 +119,22 @@ class SpatialJoinAgg:
             pip_dtype = None if self.dtype == np.float64 else self.dtype
             m = pip_pairs(x, y, pts, pl, b.verts, b.ring_offsets, b.poly_ring_offsets, dtype=pip_dtype)
             return pts[m], pl[m]
-        # hybrid: exact — cover fast path off-border, PIP refinement on border
-        is_b = hit & b.uborder[idx]
-        idx_border = np.flatnonzero(is_b)
-        idx_int = np.flatnonzero(~is_b)
-        pts_i, pl_i = self._expand(b.ucover_indptr, b.ucover_vals, idx[idx_int], hit[idx_int])
-        pts_b, slot = self._expand_idx(b.ucand_indptr, len(b.ucand_vals), idx[idx_border], hit[idx_border])
-        pl_b = b.ucand_vals[slot]
+        # hybrid: exact — cover fast path off-border, PIP refinement on
+        # border; only points that hit a cell go on
+        h = np.flatnonzero(hit)
+        idx = idx[h]
+        is_b = b.uborder[idx]
+        off_b = ~is_b
+        h_int, h_border = h[off_b], h[is_b]
+        pts_i, val_i = csr_expand(b.ucover_indptr, idx[off_b])
+        pts_b, slot = csr_expand(b.ucand_indptr, idx[is_b])
         m = pip_edge_lists(
-            x[idx_border], y[idx_border], pts_b, b.uedge_start[slot], b.uedge_stop[slot],
+            x[h_border], y[h_border], pts_b, b.uedge_start[slot], b.uedge_stop[slot], b.uedge_left[slot],
             b.uedge_ids, b.edge_table(self.dtype),
         )
         return (
-            np.concatenate([idx_int[pts_i], idx_border[pts_b[m]]]),
-            np.concatenate([pl_i, pl_b[m]]),
+            np.concatenate([h_int[pts_i], h_border[pts_b[m]]]),
+            np.concatenate([b.ucover_vals[val_i], b.ucand_vals[slot[m]]]),
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:

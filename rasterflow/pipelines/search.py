@@ -298,26 +298,3 @@ def bm25_topk(
         .repartition(1)
         .map_batches(topk_merge, batch_format="pyarrow")
     )
-
-
-def bm25_topk_scan(
-    ds,
-    terms: list[str],
-    k: int = 10,
-    k1: float = 1.25,
-    b: float = 0.75,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    index_dir: str | None = None,
-    num_parts: int | None = None,
-):
-    """BM25 top-k straight from a documents Dataset: builds the persisted
-    index under ``index_dir`` (or a temp dir) then queries it — the
-    composition used by the driver query; real deployments build once and
-    query many times."""
-    import tempfile
-
-    if index_dir is None:
-        index_dir = tempfile.mkdtemp(prefix="rf_bm25_")
-    build_inverted_index(ds, index_dir, text_col=text_col, id_col=id_col, num_parts=num_parts)
-    return bm25_topk(index_dir, terms, k=k, k1=k1, b=b, id_col=id_col)

@@ -141,8 +141,8 @@ def aggregate_by_polygon_sharded(
             if entry is None:
                 continue
             bref, gids = entry
-            # per-worker memo: a fresh ray.get per batch would rebuild each
-            # tile bundle's lazy ucell hash index every batch
+            # per-worker memo: a fresh ray.get per batch would deserialize
+            # each tile bundle and rebuild its lazy edge tables every batch
             sel = tid == t
             agg = worker_memo(("tile_agg", bref.hex(), how), lambda: SpatialJoinAgg(bref, how=how))
             sub = pa.table({"x": pa.array(x[sel]), "y": pa.array(y[sel])})

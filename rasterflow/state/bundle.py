@@ -4,8 +4,10 @@ Packs, for one (layer, canvas grid) pair, everything a join actor needs:
 
 - the layer's flat CSR vertex arrays (for exact PIP refinement),
 - ``ucells``: the sorted ids of every cell any list below mentions, so one
-  lookup per point serves them all (``locate_ucells``: a direct-address
-  table for big bundles, a pandas hash index otherwise),
+  lookup per point serves them all,
+- ``tile_slot``/``tile_cells``: that lookup (``locate_ucells``), a
+  two-level table over 32×32-cell tiles — two gathers per point, hit or
+  miss, in the manner of the reference's uniform grid index,
 - ``ucand_indptr``/``ucand_vals``: CSR over ``ucells`` of the polygons whose
   shape intersects the cell, outline ∪ cover (the exact CPU grid index of
   the reference, ``CPUJoin/GridIndexF.cpp:60-155``),
@@ -15,10 +17,10 @@ Packs, for one (layer, canvas grid) pair, everything a join actor needs:
 - ``uborder``: any polygon outline cell, dilated by 1 cell (the 3×3
   ``isBorder`` test of ``shaders/hybrid.glsl:174-185`` /
   ``HybridJoin::drawOutline``),
-- ``uedge_start``/``uedge_stop``/``uedge_ids``: per border (cell, poly)
-  entry of ``ucand_vals``, the polygon's edges that can flip PIP parity for
-  a point in that cell, so the hybrid join's exact test reads ~10 edges
-  instead of the whole polygon,
+- ``uedge_start``/``uedge_stop``/``uedge_left``/``uedge_ids``: per border
+  (cell, poly) entry of ``ucand_vals``, the polygon's edges that can flip
+  PIP parity for a ray from a point in that cell to the nearer side, so the
+  hybrid join's exact test reads ~6 edges instead of the whole polygon,
 - per-(border-cell, poly) area fractions, built lazily for error bounds.
 
 Outline and cover cells come from one vectorized pass over the whole layer
@@ -29,8 +31,6 @@ via ``ray.put``, held once per worker process (``util.worker_memo``).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..geom.cells import Grid
@@ -38,7 +38,6 @@ from ..geom.pip import edge_prev, edge_table
 from ..geom.polyio import PolygonLayer
 from ..geom.projection import accuracy_to_cell_size
 from ..geom.rasterize import area_fraction_inside, concat_ranges, dilate_cells, rasterize_layer, unique_pairs
-from ..util import pfull
 
 
 class PolygonBundle:
@@ -51,11 +50,12 @@ class PolygonBundle:
     cache and the plasma object for zero lookups saved).
     """
 
-    #: every array the constructor sets (``ucell_table`` is derived and
-    #: rebuilt on load); a cached pickle missing one is an earlier layout
+    #: every array the constructor sets; a cached pickle missing one is an
+    #: earlier layout
     ARRAYS = (
-        "verts", "ring_offsets", "poly_ring_offsets", "ucells", "ucand_indptr", "ucand_vals",
-        "ucover_indptr", "ucover_vals", "uborder", "uedge_start", "uedge_stop", "uedge_ids",
+        "verts", "ring_offsets", "poly_ring_offsets", "ucells", "tile_slot", "tile_cells",
+        "ucand_indptr", "ucand_vals", "ucover_indptr", "ucover_vals", "uborder",
+        "uedge_start", "uedge_stop", "uedge_left", "uedge_ids",
     )
 
     def __init__(self, layer: PolygonLayer, grid: Grid, build_area_fractions: bool = False):
@@ -78,78 +78,33 @@ class PolygonBundle:
         # unified cell table: ONE lookup per batch serves candidate lists,
         # cover lists and the border flag
         self.ucells = np.union1d(cc, border_cells)
+        self.tile_slot, self.tile_cells = tile_table(self.ucells, grid)
         self.ucand_indptr = _aligned_indptr(cc, self.ucells)
         self.ucand_vals = cp.astype(np.int32)
         self.ucover_indptr = _aligned_indptr(vcell, self.ucells)
         self.ucover_vals = vpoly.astype(np.int32)
         self.uborder = np.zeros(len(self.ucells), dtype=bool)
         self.uborder[np.searchsorted(self.ucells, border_cells)] = True
-        self.uedge_start, self.uedge_stop, self.uedge_ids = border_edge_lists(
+        self.uedge_start, self.uedge_stop, self.uedge_left, self.uedge_ids = border_edge_lists(
             self.verts, self.ring_offsets, self.poly_ring_offsets, grid,
             self.ucells, self.ucand_indptr, self.ucand_vals, self.uborder,
         )
-        self._build_table()
         self._area_frac: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if build_area_fractions:
             self.build_area_fractions()
 
-    def _build_table(self) -> None:
-        # direct-address lookup table cell_id -> ucell position: O(1) single
-        # gather per point, built ONCE at bundle build and shipped inside the
-        # (plasma-shared, zero-copy) bundle — unlike a per-worker hash index,
-        # which for a 10^7-key continental bundle cost seconds of build and
-        # ~300 MB of heap in EVERY worker (measured: 32 workers × 19M keys
-        # ground the 16k-polygon join to a halt).  Gated by grid size; giant
-        # grids fall back to the lazy per-process pandas hash index.  Derived
-        # from ucells, so excluded from pickles (it is the bulk of the bundle:
-        # up to 1 GB) and rebuilt on load.
-        ncells_grid = int(self.grid.nx) * int(self.grid.ny)
-        if self.DIRECT_TABLE_MIN_KEYS <= len(self.ucells) and ncells_grid <= self.DIRECT_TABLE_MAX_CELLS:
-            table = pfull(ncells_grid, -1, np.int32)
-            # threaded scatter: ucells is sorted, so slice chunks write
-            # disjoint table regions (same fault-parallelism win as pfull)
-            from ..util import _fill_pool
-
-            n = len(self.ucells)
-            step = -(-n // 8)
-
-            def scat(s):
-                e = min(s + step, n)
-                table[self.ucells[s:e]] = np.arange(s, e, dtype=np.int32)
-
-            list(_fill_pool().map(scat, range(0, n, step)))
-            self.ucell_table = table
-        else:
-            self.ucell_table = None
-
-    #: direct table cap: 250M grid cells = 1 GB int32 (plasma-shared once per
-    #: node); beyond that use the tile-sharded join or the hash fallback
-    DIRECT_TABLE_MAX_CELLS = 250_000_000
-    #: below this many occupied ucells a per-process khash index is
-    #: milliseconds to build and cache-resident to probe — a sparse direct
-    #: table would only bloat the broadcast payload and thrash caches
-    #: (measured: the 260-poly layer occupies 170k of an 87M-cell grid; the
-    #: table regressed its join ~25% while the 19M-key bundle gained 23x)
-    DIRECT_TABLE_MIN_KEYS = 2_000_000
-
     def locate_ucells(self, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(idx, hit) positions of query cells in the unified table.
 
-        Direct-address gather when the table exists (the common case);
-        otherwise a lazy per-process pandas khash index (~10x faster than
-        binary search over millions of keys for random queries)."""
-        table = getattr(self, "ucell_table", None)
-        if table is not None:
-            pos = table[lin]
-            hit = pos >= 0
-            return np.where(hit, pos, 0).astype(np.int64, copy=False), hit
-        index = self.__dict__.get("_ucell_index")
-        if index is None:
-            import pandas as pd
-
-            index = pd.Index(self.ucells)
-            self.__dict__["_ucell_index"] = index
-        pos = index.get_indexer(lin)
+        Two gathers per point through the tiled table (``tile_table``): the
+        cell's tile slot, then its position within the slot's 32×32 block.
+        A miss costs the same as a hit (empty tiles point at slot 0, all
+        −1); ``idx`` is 0 where ``hit`` is False."""
+        # int32 arithmetic whenever cell ids and block offsets fit
+        t = np.int32 if max(self.grid.ncells, len(self.tile_cells)) < 2**31 else np.int64
+        tile, sub = _tile_index(lin, self.grid.nx, t)
+        sub += self.tile_slot[tile].astype(t, copy=False) << 2 * TILE_SHIFT
+        pos = self.tile_cells[sub]
         hit = pos >= 0
         return np.where(hit, pos, 0), hit
 
@@ -164,43 +119,17 @@ class PolygonBundle:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_ucell_index", None)
         state.pop("_edge_tables", None)
-        # The direct table is a pure function of (ucells, grid).  For the DISK
-        # cache, rebuilding on load (~0.5 s) beats writing/reading up to 1 GB
-        # of -1s, so _save_disk_cache strips it via _STRIP_DERIVED.  For
-        # object-store (plasma) pickles it MUST stay in: Ray ships numpy
-        # buffers zero-copy and shares them once per node, whereas a rebuild
-        # on deserialize would run privately in every worker process (32x the
-        # heap + oversubscribed fill threads — the exact per-worker-index
-        # pathology _build_table's comment documents).
-        if _STRIP_DERIVED.active:
-            state.pop("ucell_table", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if "ucell_table" not in state:
-            self._build_table()
 
     def expand(self, lin: np.ndarray, kind: str = "cand") -> tuple[np.ndarray, np.ndarray]:
         """Candidate pairs ``(point_idx, poly_id)`` for query cells ``lin``
         from the unified CSR (``kind``: "cand" or "cover") — vectorized."""
         indptr = self.ucand_indptr if kind == "cand" else self.ucover_indptr
         values = self.ucand_vals if kind == "cand" else self.ucover_vals
-        if len(lin) == 0 or len(self.ucells) == 0:
+        if len(self.ucells) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        idx, hit = self.locate_ucells(np.asarray(lin, dtype=np.int64))
-        starts = indptr[idx]
-        counts = np.where(hit, indptr[idx + 1] - starts, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-        point_idx = np.repeat(np.arange(len(lin), dtype=np.int64), counts)
-        run_ends = np.cumsum(counts)
-        run_starts = run_ends - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-        val_idx = np.repeat(starts, counts) + within
+        point_idx, val_idx = csr_expand(indptr, *self.locate_ucells(lin))
         return point_idx, values[val_idx]
 
     @property
@@ -210,8 +139,9 @@ class PolygonBundle:
 
     # ---- border membership (unified-table lookup, vectorized) ----
     def is_border(self, lin: np.ndarray) -> np.ndarray:
-        idx, hit = self.locate_ucells(np.asarray(lin, dtype=np.int64))
-        return hit & self.uborder[idx]
+        idx, hit = self.locate_ucells(lin)
+        hit[hit] = self.uborder[idx[hit]]
+        return hit
 
     def build_area_fractions(self, subsamples: int = 8) -> None:
         """Per polygon: its outline cells + area fraction inside (for J4)."""
@@ -234,6 +164,81 @@ class PolygonBundle:
         return self.ring_offsets[r0 : r1 + 1]
 
 
+#: tile edge of the cell lookup, in cells (a power of two)
+TILE = 32
+TILE_SHIFT = TILE.bit_length() - 1
+TILE_MASK = TILE - 1
+
+
+def _ntiles(n: int) -> int:
+    return -(-int(n) // TILE)
+
+
+def _tile_index(lin: np.ndarray, nx: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """``(tile, sub)`` of cells ``lin`` in integer dtype ``t``: the row-major
+    tile id and the cell's row-major offset within its tile."""
+    iy = np.asarray(lin).astype(t)
+    ix = iy % t(nx)
+    iy //= t(nx)
+    tile = (iy >> TILE_SHIFT) * t(_ntiles(nx)) + (ix >> TILE_SHIFT)
+    iy &= TILE_MASK
+    iy <<= TILE_SHIFT
+    ix &= TILE_MASK
+    iy |= ix
+    return tile, iy
+
+
+def tile_table(ucells: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Two-level lookup table ``(tile_slot, tile_cells)`` over ``ucells``.
+
+    The grid is cut into TILE×TILE-cell tiles, numbered row-major.
+    ``tile_slot[t]`` (int32) is tile ``t``'s block in ``tile_cells``, 0 for a
+    tile holding no ucell; block ``s`` of ``tile_cells`` (int32, TILE² per
+    block, row-major within the tile) holds each cell's position in
+    ``ucells`` or −1, and block 0 is all −1.  Built in O(len(ucells) +
+    tiles) by two scatters and a prefix sum, with no sort."""
+    tile, sub = _tile_index(ucells, grid.nx, np.int32 if grid.ncells < 2**31 else np.int64)
+    occupied = np.zeros(_ntiles(grid.nx) * _ntiles(grid.ny), dtype=bool)
+    occupied[tile] = True
+    tile_slot = np.cumsum(occupied, dtype=np.int32)
+    tile_slot *= occupied
+    tile_cells = np.full((int(tile_slot.max(initial=0)) + 1) * TILE * TILE, -1, dtype=np.int32)
+    pos = tile_slot[tile].astype(np.int64)
+    pos <<= 2 * TILE_SHIFT
+    pos += sub
+    tile_cells[pos] = np.arange(len(ucells), dtype=np.int32)
+    return tile_slot, tile_cells
+
+
+def csr_expand(indptr: np.ndarray, idx: np.ndarray, hit: np.ndarray | None = None):
+    """``(point_idx, val_idx)`` of the CSR expansion of rows ``idx`` (rows
+    where ``hit`` is False expand to nothing): ``point_idx`` indexes ``idx``,
+    ``val_idx`` the value array (and anything aligned with it).
+
+    int32 index arithmetic: a batch has < 2^31 rows and the bundle's value
+    arrays are bounded by max_cover_cells — expansion indices are the
+    largest arrays a join stage allocates, so halving their width halves
+    the dominant non-PIP memory traffic."""
+    starts = indptr[idx]
+    counts = indptr[idx + 1] - starts
+    if hit is not None:
+        counts = np.where(hit, counts, 0)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    idx_t = np.int32 if len(idx) < 2**31 else np.int64
+    # val_t arrays (within / run_starts) hold values up to `total`, the
+    # expanded pair count — not the value count — so the narrowing test must
+    # use both or np.arange wraps silently
+    val_t = np.int32 if total < 2**31 and int(indptr[-1]) < 2**31 else np.int64
+    point_idx = np.repeat(np.arange(len(idx), dtype=idx_t), counts)
+    run_ends = np.cumsum(counts)
+    run_starts = (run_ends - counts).astype(val_t, copy=False)
+    within = np.arange(total, dtype=val_t) - np.repeat(run_starts, counts)
+    val_idx = np.repeat(starts.astype(val_t, copy=False), counts) + within
+    return point_idx, val_idx
+
+
 def _aligned_indptr(cells: np.ndarray, ucells: np.ndarray) -> np.ndarray:
     """CSR offsets over ``ucells`` of pairs sorted by cell (every pair's cell
     is in ``ucells``)."""
@@ -242,69 +247,101 @@ def _aligned_indptr(cells: np.ndarray, ucells: np.ndarray) -> np.ndarray:
 
 def border_edge_lists(verts, ring_offsets, poly_ring_offsets, grid: Grid, ucells, ucand_indptr, ucand_vals, uborder):
     """Per border ``(cell, polygon)`` entry, the polygon's edges that can flip
-    PIP parity for a point in that cell.
+    PIP parity for a point in that cell, seen from the nearer side.
 
-    Returns ``(uedge_start, uedge_stop, uedge_ids)``: entry ``s`` of
-    ``ucand_vals`` tests edges (= vertex ids) ``uedge_ids[uedge_start[s]:
-    uedge_stop[s]]``; entries off the border get an empty range.
+    Returns ``(uedge_start, uedge_stop, uedge_left, uedge_ids)``: entry ``s``
+    of ``ucand_vals`` tests edges (= vertex ids) ``uedge_ids[uedge_start[s]:
+    uedge_stop[s]]`` with a ray going left if ``uedge_left[s]``, else right;
+    entries off the border get an empty range.
 
-    An edge can flip parity only if the point's y lies in its y-span and the
-    point is left of its max x.  So an edge is kept for a cell if its y-span
-    meets the cell's row band and its max x reaches the cell's left side,
-    both widened by one cell, plus a float32-rounding allowance, so rounding
-    in ``Grid.locate`` or the f32 plane cannot drop a real crossing.
+    An edge can flip a point's parity only if the point's y lies in its
+    y-span and, for a ray going right, the point is left of its max x; for a
+    ray going left, right of its min x.  So an edge is kept for a cell if its
+    y-span meets the cell's row band and its max x reaches the cell's left
+    side (right list) or its min x reaches the cell's right side (left
+    list), all widened by one cell, plus a float32-rounding allowance, so
+    rounding in ``Grid.locate`` or the f32 plane cannot drop a real crossing.
+    Under the half-open y test every closed ring has an even number of edges
+    straddling the point's y, and both rays compute the same crossing x, so
+    the two counts have equal parity and each entry takes the shorter list.
     Horizontal edges and rings under 3 vertices never flip parity and are
     left out; every other ring's edges go in, so holes XOR correctly.
 
-    The lists share storage: ``uedge_ids`` holds one run per (polygon, grid
-    row) of the edges that reach the row, sorted by the last column they
-    reach, descending, so every cell's list is a prefix of its run and costs
-    two ints, not a copy of the edges.
+    The lists share storage: ``uedge_ids`` holds, per (polygon, grid row),
+    one run of the edges that reach the row from the right, sorted by the
+    last column they reach, descending, and one of those that reach it from
+    the left, sorted by the first column they reach, ascending.  Every
+    cell's list is a prefix of one of its two runs and costs two ints and a
+    bit, not a copy of the edges.
     """
     nv = len(verts)
     cell, nx, ny = grid.cell, grid.nx, grid.ny
     # the outputs are allocated first, below the build's temporaries, so
     # the heap can shrink once those are freed (the driver keeps ~25 MB
     # more at 200 m otherwise)
-    idx_t = np.int32 if nv * ny < 2**31 else np.int64
+    idx_t = np.int32 if 2 * nv * ny < 2**31 else np.int64
     start = np.zeros(len(ucand_vals), dtype=idx_t)
     stop = np.zeros(len(ucand_vals), dtype=idx_t)
+    left = np.zeros(len(ucand_vals), dtype=bool)
     ring_len = np.diff(ring_offsets)
     prev = edge_prev(ring_offsets, nv)
     xi, yi = verts[:, 0], verts[:, 1]
     xj, yj = xi[prev], yi[prev]
     pad = cell + (float(np.abs(verts).max()) * 2.0**-20 if nv else 0.0)
-    # last column whose left side is within reach of the edge's max x
-    c_hi = np.clip(np.floor((np.maximum(xi, xj) + pad - grid.x0) / cell), -1, nx - 1).astype(np.int64)
-    e = np.flatnonzero((yi != yj) & (np.repeat(ring_len, ring_len) >= 3) & (c_hi >= 0))
+    # an edge's rank in its run, 0 reaching furthest: on the right side
+    # nx-1 minus the last column whose left side is within reach of the
+    # edge's max x, on the left side the first column whose right side is
+    # within reach of its min x; rank nx reaches no column
+    c_hi = np.floor((np.maximum(xi, xj) + pad - grid.x0) / cell)
+    c_lo = np.floor((np.minimum(xi, xj) - pad - grid.x0) / cell)
+    rank = np.clip(np.stack([nx - 1 - c_hi, c_lo]), 0, nx).astype(np.int64)
+    side, e = np.nonzero((rank < nx) & (yi != yj) & (np.repeat(ring_len, ring_len) >= 3))
     r_lo = np.clip(np.floor((np.minimum(yi[e], yj[e]) - pad - grid.y0) / cell), 0, ny - 1).astype(np.int64)
     r_hi = np.clip(np.floor((np.maximum(yi[e], yj[e]) + pad - grid.y0) / cell), 0, ny - 1).astype(np.int64)
 
-    # one run per (polygon, row), keyed poly * ny + row, its edges by c_hi
-    # descending; comp is one ascending key over (run, c_hi descending)
+    # one run per (polygon, row, side), keyed (poly * ny + row) * 2 + side,
+    # its edges by rank; comp is one ascending key over (run, rank)
     nrow = r_hi - r_lo + 1
-    run_edge = np.repeat(e, nrow)
+    run_edge = np.repeat(e.astype(np.int32), nrow)
+    run_side = np.repeat(side.astype(np.int8), nrow)
     poly_of_vert = np.repeat(np.repeat(np.arange(len(poly_ring_offsets) - 1), np.diff(poly_ring_offsets)), ring_len)
-    run_key = poly_of_vert[run_edge] * np.int64(ny) + concat_ranges(r_lo, nrow)
-    run_c = c_hi[run_edge]
-    order = np.lexsort((-run_c, run_key))
-    run_edge, run_c = run_edge[order], run_c[order]
-    keys, run = np.unique(run_key[order], return_inverse=True)
-    comp = run * np.int64(nx + 1) + (nx - 1 - run_c)
+    run_key = (poly_of_vert[run_edge] * np.int64(ny) + concat_ranges(r_lo, nrow)) * 2 + run_side
+    run_rank = rank[run_side, run_edge]
+    order = np.lexsort((run_rank, run_key))
+    run_edge, run_key = run_edge[order], run_key[order]
+    first = np.ones(len(run_key), dtype=bool)
+    np.not_equal(run_key[1:], run_key[:-1], out=first[1:])
+    # run starts and keys, each ending in a sentinel past every entry key
+    run_start = np.flatnonzero(np.append(first, True))
+    keys = np.append(run_key[run_start[:-1]], np.iinfo(np.int64).max)
+    comp = (np.cumsum(first) - 1) * np.int64(nx + 1) + run_rank[order]
 
-    # border entries in ucand_vals order; an entry keeps the prefix of its
-    # run with c_hi >= its column
+    # border entries in ucand_vals order; on each side an entry's list is
+    # the prefix of its run with rank <= nx-1-col (right) or col (left); a
+    # (polygon, row, side) with no run gets an empty list.  Chunked over
+    # border cells, so at continental scale (10^7 entries) the per-entry
+    # temporaries stay below the rest of the build's peak.
     ub = np.flatnonzero(uborder)
-    nent = ucand_indptr[ub + 1] - ucand_indptr[ub]
-    slot = concat_ranges(ucand_indptr[ub], nent)
-    ent_row, ent_col = np.divmod(np.repeat(ucells[ub], nent), nx)
-    ent_key = ucand_vals[slot].astype(np.int64) * ny + ent_row
-    r = np.minimum(np.searchsorted(keys, ent_key), max(len(keys) - 1, 0))
-    found = keys[r] == ent_key if len(keys) else np.zeros(len(slot), dtype=bool)
-    r, slot, ent_col = r[found], slot[found], ent_col[found]
-    start[slot] = np.searchsorted(comp, r * np.int64(nx + 1))
-    stop[slot] = np.searchsorted(comp, r * np.int64(nx + 1) + (nx - 1 - ent_col), "right")
-    return start, stop, run_edge.astype(np.int32)
+    for c in range(0, len(ub), 1 << 18):
+        u = ub[c : c + (1 << 18)]
+        nent = ucand_indptr[u + 1] - ucand_indptr[u]
+        slot = concat_ranges(ucand_indptr[u], nent)
+        ent_row, ent_col = np.divmod(np.repeat(ucells[u], nent), nx)
+        ent_key = (ucand_vals[slot].astype(np.int64) * ny + ent_row) * 2
+        r = np.searchsorted(keys, ent_key)
+        bounds = []
+        for s, last in ((0, nx - 1 - ent_col), (1, ent_col)):
+            found = keys[r] == ent_key + s
+            lo = run_start[r]
+            hi = np.where(found, np.searchsorted(comp, r * np.int64(nx + 1) + last, "right"), lo)
+            bounds.append((lo, hi))
+            r = r + found  # the left run follows the right one
+        (lo_r, hi_r), (lo_l, hi_l) = bounds
+        use_left = hi_l - lo_l < hi_r - lo_r
+        start[slot] = np.where(use_left, lo_l, lo_r)
+        stop[slot] = np.where(use_left, hi_l, hi_r)
+        left[slot] = use_left
+    return start, stop, left, run_edge
 
 
 _BUNDLE_CACHE: dict[tuple, PolygonBundle] = {}
@@ -375,7 +412,7 @@ def _disk_cache_dir() -> "str":
 def _cache_path(key) -> "str":
     import os
 
-    name = f"bundle_v5_{key[0]}_{key[1]}_{int(key[2])}.pkl"
+    name = f"bundle_v6_{key[0]}_{key[1]}_{int(key[2])}.pkl"
     return os.path.join(_disk_cache_dir(), name)
 
 
@@ -402,17 +439,6 @@ def _dir_ok(path) -> bool:
 # then reconstruct every numpy array as a ZERO-COPY view on it
 # (protocol-5 ``buffers=`` + numpy's ``_frombuffer`` reducer).
 _CACHE_MAGIC = b"RFB4"
-
-
-class _StripDerived(threading.local):
-    """Thread-local flag: _save_disk_cache sets it so __getstate__ drops the
-    (derived, up to 1 GB) direct table from DISK pickles only — object-store
-    pickles keep it (see PolygonBundle.__getstate__)."""
-
-    active = False
-
-
-_STRIP_DERIVED = _StripDerived()
 
 
 def _load_disk_cache(key):
@@ -458,11 +484,7 @@ def _save_disk_cache(key, bundle) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         bufs: list = []
-        _STRIP_DERIVED.active = True
-        try:
-            payload = pickle.dumps(bundle, protocol=5, buffer_callback=bufs.append)
-        finally:
-            _STRIP_DERIVED.active = False
+        payload = pickle.dumps(bundle, protocol=5, buffer_callback=bufs.append)
         raws = [b.raw() for b in bufs]
         header = pickle.dumps((payload, [r.nbytes for r in raws]))
 

@@ -177,9 +177,8 @@ def det_topk_indices(vals: np.ndarray, ids: np.ndarray, k: int, descending: bool
 # fresh anonymous pages runs at ~120 MB/s (page zeroing in the fault handler),
 # while concurrent faults from a thread pool scale near-linearly (measured
 # 0.66 GB: 5.4 s with 1 thread, 0.25 s with 4, 0.03 s with 16 — numpy slice
-# assignment releases the GIL around the copy, so faults overlap).  Driver-side
-# assembly of GB-scale arrays (direct-address tables) would otherwise spend
-# 80% of its wall time faulting pages in one thread.
+# assignment releases the GIL around the copy, so faults overlap).  The
+# bundle disk-cache loader pre-touches its large buffers with this pool.
 # ---------------------------------------------------------------------------
 
 _FILL_POOL = None
@@ -195,26 +194,11 @@ def _fill_pool():
     return _FILL_POOL
 
 
-def pfull(n: int, fill_value, dtype) -> np.ndarray:
-    """``np.full`` with parallel first-touch (see module comment above)."""
-    out = np.empty(int(n), dtype=dtype)
-    if out.nbytes < (1 << 25):
-        out[:] = fill_value
-        return out
-    step = -(-len(out) // _FILL_THREADS)
-
-    def fill(s):
-        out[s : s + step] = fill_value
-
-    list(_fill_pool().map(fill, range(0, len(out), step)))
-    return out
-
-
 #: per-worker-process memo of deserialized state and constructed stages.
 #: ``ray.get`` of the same ref returns a FRESH object each call, so any
-#: lazy per-instance state (the bundle's 10^7-key ucell hash index) would be
-#: rebuilt per batch without this — measured 75x slowdown on a 16k-polygon
-#: continental bundle before the memo.  Bounded: a worker sees a handful of
+#: lazy per-instance state (once the bundle's 10^7-key ucell hash index,
+#: now its per-dtype edge tables) would be rebuilt per batch without this —
+#: measured 75x slowdown on a 16k-polygon continental bundle before the memo.  Bounded: a worker sees a handful of
 #: distinct states per job.
 _MEMO_MAX = 64  # tile-sharded jobs touch many small tile bundles
 _MEMO: dict = {}

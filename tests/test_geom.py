@@ -216,7 +216,7 @@ def test_bundle_disk_cache_keeps_edge_lists(tmp_path, monkeypatch):
     assert len(b.uedge_start) == len(b.uedge_stop) == len(b.ucand_vals)
     key = ("edge-lists", "layer", 0)
     B._save_disk_cache(key, b)
-    assert B._cache_path(key).split("/")[-1].startswith("bundle_v5_")
+    assert B._cache_path(key).split("/")[-1].startswith("bundle_v6_")
     loaded = B._load_disk_cache(key)
     assert loaded is not None
     np.testing.assert_array_equal(loaded.uedge_start, b.uedge_start)
@@ -247,7 +247,7 @@ def test_bundle_disk_cache_rebuilds_stale_layout(tmp_path, monkeypatch):
     fresh = B.build_bundle(layer, accuracy_m=500)
     key = next(iter(B._BUNDLE_CACHE))
     arrays = {k for k, v in vars(fresh).items() if isinstance(v, np.ndarray)}
-    assert arrays - {"ucell_table"} == set(B.PolygonBundle.ARRAYS)
+    assert arrays == set(B.PolygonBundle.ARRAYS)
     # rewrite the cache file as an earlier layout: same name, no edge lists
     stale = pickle.loads(pickle.dumps(fresh))
     del stale.uedge_start

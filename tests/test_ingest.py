@@ -77,50 +77,38 @@ def test_radius_search_matches_brute(ray_session):
     assert set(got_e["url"]) == set(exp_e["url"])
 
 
-def test_bundle_pickle_roundtrip(monkeypatch):
+def test_bundle_pickle_roundtrip(tmp_path, monkeypatch):
     """A bundle survives a plain pickle (object store) and a disk-cache
-    pickle (direct table stripped, rebuilt on load) array for array, with the
-    same cell lookups, border flags and candidate expansion — with and
-    without the direct-address table."""
+    round trip array for array — the tiled cell table byte for byte — with
+    the same cell lookups, border flags and candidate expansion."""
     import pickle
 
     from rasterflow.geom.cells import Grid
     from rasterflow.sources.fixtures import synthetic_layer
     from rasterflow.state import bundle as B
 
+    monkeypatch.setenv("RASTERFLOW_CACHE_DIR", str(tmp_path / "cache"))
     layer = synthetic_layer(300, seed=11)
     xmin, ymin, xmax, ymax = layer.bounds
     cell = max(xmax - xmin, ymax - ymin) / 512
     grid = Grid.from_bounds(xmin, ymin, xmax, ymax, cell)
     q = np.arange(0, grid.ncells, 97, dtype=np.int64)
-    for direct_table in (False, True):
-        if direct_table:
-            monkeypatch.setattr(B.PolygonBundle, "DIRECT_TABLE_MIN_KEYS", 0)
-        serial = B.PolygonBundle(layer, grid)
-        assert (serial.ucell_table is not None) == direct_table
-        B._STRIP_DERIVED.active = True
-        try:
-            stripped = pickle.dumps(serial)
-        finally:
-            B._STRIP_DERIVED.active = False
-        for rt in (pickle.loads(pickle.dumps(serial)), pickle.loads(stripped)):
-            for f in B.PolygonBundle.ARRAYS:
-                a, b = getattr(serial, f), getattr(rt, f)
-                assert a.dtype == b.dtype, f
-                np.testing.assert_array_equal(a, b, err_msg=f)
-            np.testing.assert_array_equal(serial.border_cells, rt.border_cells)
-            np.testing.assert_array_equal(serial.is_border(q), rt.is_border(q))
-            # expand() parity on a mixed query (hits + misses)
-            for kind in ("cand", "cover"):
-                p1, v1 = serial.expand(q, kind)
-                p2, v2 = rt.expand(q, kind)
-                np.testing.assert_array_equal(p1, p2)
-                np.testing.assert_array_equal(v1, v2)
-            # the direct table is rebuilt identically when stripped
-            assert (rt.ucell_table is None) == (serial.ucell_table is None)
-            if serial.ucell_table is not None:
-                np.testing.assert_array_equal(rt.ucell_table, serial.ucell_table)
-            i1, h1 = rt.locate_ucells(q)
-            i2, h2 = serial.locate_ucells(q)
-            np.testing.assert_array_equal(h1, h2)
-            np.testing.assert_array_equal(i1[h1], i2[h2])
+    serial = B.PolygonBundle(layer, grid)
+    B._save_disk_cache(("roundtrip", "layer", 0), serial)
+    for rt in (pickle.loads(pickle.dumps(serial)), B._load_disk_cache(("roundtrip", "layer", 0))):
+        for f in B.PolygonBundle.ARRAYS:
+            a, b = getattr(serial, f), getattr(rt, f)
+            assert a.dtype == b.dtype, f
+            assert a.tobytes() == b.tobytes(), f
+        np.testing.assert_array_equal(serial.border_cells, rt.border_cells)
+        np.testing.assert_array_equal(serial.is_border(q), rt.is_border(q))
+        # expand() parity on a mixed query (hits + misses)
+        for kind in ("cand", "cover"):
+            p1, v1 = serial.expand(q, kind)
+            p2, v2 = rt.expand(q, kind)
+            np.testing.assert_array_equal(p1, p2)
+            np.testing.assert_array_equal(v1, v2)
+        i1, h1 = rt.locate_ucells(q)
+        i2, h2 = serial.locate_ucells(q)
+        np.testing.assert_array_equal(h1, h2)
+        np.testing.assert_array_equal(i1[h1], i2[h2])

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the geometry kernels."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,10 +178,11 @@ def _sorted_pairs(pts, pl):
 def _check_hybrid_edge_lists(layer, grid, px, py, dtype, match_index=True):
     """Hybrid ``_match_pairs`` (edge lists on the border) equals the index
     join pair for pair, and ``pip_edge_lists`` equals ``pip_pairs`` on every
-    border candidate pair, with points located as the join stage does."""
+    border candidate pair, with points located as the join stage does.
+    Returns how many of those pairs read a non-empty left and right list."""
     from rasterflow.geom.pip import pip_edge_lists, pip_pairs
     from rasterflow.pipelines.joins import SpatialJoinAgg
-    from rasterflow.state.bundle import PolygonBundle
+    from rasterflow.state.bundle import PolygonBundle, csr_expand
 
     b = PolygonBundle(layer, grid)
     x = np.asarray(px, dtype)
@@ -195,16 +197,16 @@ def _check_hybrid_edge_lists(layer, grid, px, py, dtype, match_index=True):
 
     idx, hit = b.locate_ucells(lin)
     border = np.flatnonzero(hit & b.uborder[idx])
-    pts, slot = SpatialJoinAgg._expand_idx(b.ucand_indptr, len(b.ucand_vals), idx[border], hit[border])
+    pts, slot = csr_expand(b.ucand_indptr, idx[border])
     pip_dtype = None if dtype == np.float64 else dtype
     want = pip_pairs(
         x[border], y[border], pts, b.ucand_vals[slot], b.verts, b.ring_offsets, b.poly_ring_offsets, dtype=pip_dtype
     )
-    got = pip_edge_lists(
-        x[border], y[border], pts, b.uedge_start[slot], b.uedge_stop[slot], b.uedge_ids, b.edge_table(dtype)
-    )
+    start, stop, left = b.uedge_start[slot], b.uedge_stop[slot], b.uedge_left[slot]
+    got = pip_edge_lists(x[border], y[border], pts, start, stop, left, b.uedge_ids, b.edge_table(dtype))
     np.testing.assert_array_equal(got, want)
-    return len(pts)
+    listed = stop > start
+    return int((listed & left).sum()), int((listed & ~left).sum())
 
 
 def _star_layer_and_points(seed, cell, offset=0.0):
@@ -279,7 +281,16 @@ def test_edge_lists_f32_far_from_origin(seed):
 )
 def test_hybrid_edge_lists_tiny2_shared_border(t, dtype, cell):
     """The reference's two squares share the corner (5.1, 5.1); points on
-    their sides, corners and the interior points of the hand-checked case."""
+    their sides, corners and the interior points of the hand-checked case.
+    At the finer cells the squares are 10-20 cells wide, so the points on
+    their left sides read left lists and those on their right sides right
+    lists."""
+    n_left, n_right = _check_hybrid_edge_lists(*_tiny2_and_points(t, cell), dtype)
+    if cell <= 0.02:
+        assert n_left and n_right
+
+
+def _tiny2_and_points(t, cell):
     from rasterflow.geom.cells import Grid
     from rasterflow.sources.fixtures import tiny2_layer
 
@@ -297,7 +308,27 @@ def test_hybrid_edge_lists_tiny2_shared_border(t, dtype, cell):
     fixed = np.array([[5.15, 5.15], [5.0, 5.0], [5.1, 5.1], [5.2, 5.2], [4.9, 4.9], [5.1, 4.9], [5.2, 5.1]])
     px = np.concatenate([s[0] for s in sides] + [fixed[:, 0]])
     py = np.concatenate([s[1] for s in sides] + [fixed[:, 1]])
-    _check_hybrid_edge_lists(layer, grid, px, py, dtype)
+    return layer, grid, px, py
+
+
+@pytest.mark.parametrize(
+    "kind, seed, cell, dtype",
+    [("stars", s, c, d) for s in range(4) for c in (0.5, 1.0) for d in (np.float64, np.float32)]
+    + [("far", s, 0.05, np.float32) for s in range(2)]
+    + [("tiny2", 0, c, d) for c in (0.01, 0.02) for d in (np.float64, np.float32)],
+)
+def test_edge_lists_take_both_sides(kind, seed, cell, dtype):
+    """Each edge-list fixture, on fixed seeds, has border pairs that read a
+    left list and pairs that read a right list, and the hybrid join still
+    equals the index join there (not every random draw has both: a thin
+    triangle whose long edges span the whole polygon ties everywhere, and
+    ties read the right list)."""
+    if kind == "tiny2":
+        case = _tiny2_and_points(np.linspace(0, 1, 11), cell)
+    else:
+        case = _star_layer_and_points(seed, cell, offset=2.0e6 if kind == "far" else 0.0)
+    n_left, n_right = _check_hybrid_edge_lists(*case, dtype, match_index=kind != "far")
+    assert n_left and n_right
 
 
 def _raster_layer(rng, cell, offset):
@@ -368,3 +399,75 @@ def test_rasterize_layer_matches_scalar_reference(seed, cell, offset):
         cx, cy = grid.centers(lin)
         want = lin[points_in_polygon(cx, cy, layer.verts, ro)]
         np.testing.assert_array_equal(vcell[vpoly == p], np.sort(want))
+
+
+def _member_by_search(ucells, q):
+    pos = np.searchsorted(ucells, q)
+    hit = pos < len(ucells)
+    hit[hit] = ucells[pos[hit]] == q[hit]
+    return pos, hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 3000),
+    ny=st.integers(1, 3000),
+    nkeys=st.sampled_from([0, 1, 50, 5000]),
+)
+def test_tiled_locate_matches_searchsorted(seed, nx, ny, nkeys):
+    """``locate_ucells`` through the tiled table equals membership by binary
+    search over ``ucells``: on random cells, every corner of every tile, the
+    partial last tile row and column (``nx``, ``ny`` mostly not multiples of
+    the tile edge), cell 0, the last cell and every key."""
+    _check_tiled_locate(np.random.default_rng(seed), C.Grid(0.0, 0.0, 1.0, nx, ny), nkeys)
+
+
+def test_tiled_locate_int64_grid():
+    """A grid of more than 2^31 cells takes the int64 lookup arithmetic."""
+    grid = C.Grid(0.0, 0.0, 1.0, 2**16 + 3, 2**15 + 5)
+    assert grid.ncells >= 2**31
+    _check_tiled_locate(np.random.default_rng(1), grid, 5000)
+
+
+def _check_tiled_locate(rng, grid, nkeys):
+    from rasterflow.state.bundle import TILE, PolygonBundle, tile_table
+
+    nx, ny = grid.nx, grid.ny
+    ucells = np.unique(rng.integers(0, grid.ncells, nkeys)).astype(np.int64)
+    b = PolygonBundle.__new__(PolygonBundle)
+    b.grid, b.ucells = grid, ucells
+    b.tile_slot, b.tile_cells = tile_table(ucells, grid)
+    assert b.tile_slot.dtype == b.tile_cells.dtype == np.int32
+    assert len(b.tile_cells) % (TILE * TILE) == 0 and (b.tile_cells[: TILE * TILE] == -1).all()
+    # every tile corner, then the last partial tile row and column whole
+    cx = np.unique(np.clip(np.concatenate([np.arange(0, nx, TILE), np.arange(TILE - 1, nx + TILE - 1, TILE)]), 0, nx - 1))
+    cy = np.unique(np.clip(np.concatenate([np.arange(0, ny, TILE), np.arange(TILE - 1, ny + TILE - 1, TILE)]), 0, ny - 1))
+    corners = (cy[:, None] * np.int64(nx) + cx[None, :]).ravel()
+    last_row = (ny - 1 - np.arange(min(ny, TILE)))[:, None] * np.int64(nx) + np.arange(nx)[None, :]
+    last_col = np.arange(ny)[:, None] * np.int64(nx) + (nx - 1 - np.arange(min(nx, TILE)))[None, :]
+    q = np.concatenate(
+        [rng.integers(0, grid.ncells, 20_000), corners, last_row.ravel(), last_col.ravel(), [0, grid.ncells - 1], ucells]
+    ).astype(np.int64)
+    rng.shuffle(q)
+    idx, hit = b.locate_ucells(q)
+    pos, want = _member_by_search(ucells, q)
+    np.testing.assert_array_equal(hit, want)
+    np.testing.assert_array_equal(idx[hit], pos[hit])
+    assert (idx[~hit] == 0).all()
+
+
+def test_tiled_locate_real_and_empty_bundles():
+    """Every cell of a star-layer bundle's grid, and an empty bundle."""
+    from rasterflow.state.bundle import PolygonBundle
+
+    layer, grid, _, _ = _star_layer_and_points(3, 0.5)
+    for lyr in (layer, PolygonLayer.from_rings("empty", [])):
+        b = PolygonBundle(lyr, grid)
+        q = np.arange(grid.ncells, dtype=np.int64)
+        idx, hit = b.locate_ucells(q)
+        pos, want = _member_by_search(b.ucells, q)
+        np.testing.assert_array_equal(hit, want)
+        np.testing.assert_array_equal(idx[hit], pos[hit])
+        assert hit.sum() == len(b.ucells)
+        np.testing.assert_array_equal(b.is_border(q), np.isin(q, b.border_cells))

@@ -1,7 +1,7 @@
 """Round-5 regression tests: the round-4 VERDICT directives (event_lag
 float64 representation, de-drivered dedup verify, BM25 partial top-k,
 oracle-izable hash_vectorize) and ADVICE findings (bundle object-store
-pickles keep the direct table, inverted-index stale-dir guard, k-means
+pickles keep the cell table, inverted-index stale-dir guard, k-means
 empty-block schema, 2^53 join padding warning, packing stratum guard)."""
 
 import os
@@ -133,10 +133,10 @@ def test_hashing_vectorize_mulrot31_matches_brute(ray_session):
         assert list(row["features"].iloc[0]) == list(exp), (i, t)
 
 
-def test_bundle_object_store_pickle_keeps_table(tmp_path):
-    """ADVICE r4 (medium): plain pickles (the object-store path) must CARRY
-    the direct-address table so plasma shares it per node; only the disk
-    cache strips it (rebuild-on-load beats writing 1 GB of -1s)."""
+def test_bundle_object_store_pickle_keeps_table(tmp_path, monkeypatch):
+    """Plain pickles (the object-store path, shared once per node by plasma)
+    and disk-cache pickles both carry the tiled cell table byte for byte, so
+    no worker rebuilds lookup state on load."""
     from rasterflow.geom.cells import Grid
     from rasterflow.sources.fixtures import synthetic_layer
     from rasterflow.state import bundle as B
@@ -145,36 +145,15 @@ def test_bundle_object_store_pickle_keeps_table(tmp_path):
     xmin, ymin, xmax, ymax = layer.bounds
     grid = Grid.from_bounds(xmin, ymin, xmax, ymax, max(xmax - xmin, ymax - ymin) / 64)
     b = B.PolygonBundle(layer, grid)
-    # force the direct table regardless of the size gate
-    old_min = B.PolygonBundle.DIRECT_TABLE_MIN_KEYS
-    B.PolygonBundle.DIRECT_TABLE_MIN_KEYS = 0
-    try:
-        b._build_table()
-        assert b.ucell_table is not None
-        state = b.__getstate__()
-        assert "ucell_table" in state  # object-store path: table shipped
-        rt = pickle.loads(pickle.dumps(b))
-        np.testing.assert_array_equal(rt.ucell_table, b.ucell_table)
-
-        # disk-cache path strips it but the loaded bundle rebuilds it
-        B._STRIP_DERIVED.active = True
-        try:
-            stripped = b.__getstate__()
-        finally:
-            B._STRIP_DERIVED.active = False
-        assert "ucell_table" not in stripped
-
-        os.environ["RASTERFLOW_CACHE_DIR"] = str(tmp_path / "cache")
-        try:
-            B._save_disk_cache(("t5", "layer", 1), b)
-            loaded = B._load_disk_cache(("t5", "layer", 1))
-        finally:
-            del os.environ["RASTERFLOW_CACHE_DIR"]
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.ucell_table, b.ucell_table)
-        np.testing.assert_array_equal(loaded.ucells, b.ucells)
-    finally:
-        B.PolygonBundle.DIRECT_TABLE_MIN_KEYS = old_min
+    assert "tile_slot" in b.__getstate__() and "tile_cells" in b.__getstate__()
+    monkeypatch.setenv("RASTERFLOW_CACHE_DIR", str(tmp_path / "cache"))
+    B._save_disk_cache(("t5", "layer", 1), b)
+    loaded = B._load_disk_cache(("t5", "layer", 1))
+    assert loaded is not None
+    for rt in (pickle.loads(pickle.dumps(b)), loaded):
+        for f in ("tile_slot", "tile_cells", "ucells"):
+            assert getattr(rt, f).dtype == getattr(b, f).dtype
+            assert getattr(rt, f).tobytes() == getattr(b, f).tobytes(), f
 
 
 def test_build_inverted_index_clears_stale_dir(ray_session, tmp_path):
