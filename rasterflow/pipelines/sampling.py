@@ -8,12 +8,15 @@ Training-data pipeline primitives:
   mixer is :func:`rasterflow.stages.texthash.mulrot_hash64`, chosen because
   every step is ANSI-SQL-expressible, so the driver oracle verifies the
   assignment bit-for-bit.
-- :func:`column_quantiles` — EXACT quantiles of a discrete/integer column via
-  a value histogram: per-batch ``value_counts`` partials (only distinct
-  values cross the shuffle), grouped sum, then an O(#distinct) driver
-  cumulative.  Scale assumption: the column's distinct-value count is
-  bounded (lengths, counts, scores in fixed ranges) — for unbounded
-  continuous columns pre-bucket first.
+- :func:`value_histogram` — the one exchange of the histogram family
+  (column/group quantiles, rank transforms, Gini, MAD, mixture weights):
+  per-batch ``(group, value)`` count partials (only distinct pairs cross
+  the shuffle), one grouped sum, one collect sorted by (group, value).  The
+  driver folds it in whole-array passes, :func:`rank_pick` and
+  :func:`below`, never a loop per group.  Scale assumption: the
+  distinct-value count per group is bounded (lengths, counts, scores in
+  fixed ranges) — for unbounded continuous columns use the ``*_select``
+  paths or pre-bucket first.
 """
 
 from __future__ import annotations
@@ -300,6 +303,63 @@ def rank_in_group(
     )
 
 
+def value_histogram(ds, col: str, group_col: str | None = None):
+    """Exact value histogram of ``col`` per group, collected on the driver.
+
+    One per-batch Arrow count partial, one
+    :func:`~rasterflow.util.grouped_aggregate` over the partials (its
+    pandas reduce drops null values and null groups), one collect — only
+    distinct ``(group, value)`` pairs cross the shuffle (the
+    bounded-distinct contract).
+
+    Returns ``(groups, starts, v, cnt)``: ``v`` and its int64 counts
+    ``cnt`` sorted by (group, value), group ``groups[i]`` owning
+    ``v[starts[i]:starts[i + 1]]``.  Without ``group_col`` the whole
+    histogram is one segment (none when empty) and ``groups`` is None."""
+    src, keys = ([col], ["v"]) if group_col is None else ([group_col, col], ["g", "v"])
+
+    def partial(b: pa.Table) -> pa.Table:
+        t = pa.table([b.column(c) for c in src], names=keys)
+        return t.group_by(keys).aggregate([([], "count_all")]).rename_columns(keys + ["cnt"])
+
+    pdf = grouped_aggregate(
+        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
+        keys,
+        {"cnt": ("cnt", "sum")},
+    ).to_pandas()
+    groups = None if group_col is None else np.empty(0, dtype=object)
+    if pdf.empty:  # an empty exchange collects no columns at all
+        return groups, np.zeros(0, dtype=np.int64), np.empty(0), np.zeros(0, dtype=np.int64)
+    pdf = pdf.sort_values(keys, ignore_index=True)
+    v, cnt = pdf["v"].to_numpy(), pdf["cnt"].to_numpy().astype(np.int64)
+    if group_col is None:
+        return None, np.zeros(1, dtype=np.int64), v, cnt
+    g = pdf["g"].to_numpy()
+    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    return g[starts], starts, v, cnt
+
+
+def rank_pick(cnt: np.ndarray, starts: np.ndarray, qs) -> np.ndarray:
+    """Index into a :func:`value_histogram` of every group's ceil(q·n)-th
+    smallest value (rank at least 1) — the explicit rank rule of every
+    quantile here.  Shape ``(len(starts), len(qs))``; one ``searchsorted``
+    of ``base + rank`` in the global cumulative count, no loop per group."""
+    cum = np.cumsum(cnt)
+    ends = np.append(starts[1:], len(cnt))[: len(starts)]
+    edge = np.concatenate(([0], cum))
+    base, n = edge[starts], edge[ends] - edge[starts]
+    q = np.asarray(qs, dtype=np.float64)
+    rank = np.maximum(1, np.ceil(q[None, :] * n[:, None])).astype(np.int64)
+    return np.minimum(np.searchsorted(cum, base[:, None] + rank), ends[:, None] - 1)
+
+
+def below(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of ``x`` within each segment that ``starts``
+    opens (count or sum of the strictly smaller values of a histogram)."""
+    excl = np.cumsum(x) - x
+    return excl - np.repeat(excl[starts], np.diff(np.append(starts, len(x))))
+
+
 def group_quantiles(
     ds,
     col: str,
@@ -310,48 +370,18 @@ def group_quantiles(
     with within-group cumulative count ≥ ceil(q·n_group) — the grouped form
     of :func:`column_quantiles`, same explicit-rank definition.
 
-    Per-batch ``(group, value)`` histogram partials → distributed grouped
-    sum (only distinct pairs cross the shuffle) → one driver pass over the
-    small reduced table (#groups × #distinct rows).  Output
-    ``(group, q, value)`` sorted by (group, q)."""
-    import pandas as pd
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                group_col: b.column(group_col).to_numpy(zero_copy_only=False),
-                "v": b.column(col).to_numpy(zero_copy_only=False),
-            }
-        )
-        vc = df.groupby([group_col, "v"], sort=False).size().rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(vc, preserve_index=False)
-
-    red = grouped_aggregate(
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
-        [group_col, "v"],
-        {"cnt": ("cnt", "sum")},
-    )
-    pdf = red.to_pandas().sort_values([group_col, "v"]).reset_index(drop=True)
-    out_g, out_q, out_v = [], [], []
-    for gval, sub in pdf.groupby(group_col, sort=True):
-        cum = sub["cnt"].cumsum().to_numpy()
-        vals = sub["v"].to_numpy()
-        n = int(cum[-1])
-        for q in qs:
-            rank = max(1, math.ceil(q * float(n)))
-            i = int(np.searchsorted(cum, rank))
-            out_g.append(gval)
-            out_q.append(float(q))
-            out_v.append(vals[min(i, len(vals) - 1)])
+    One :func:`value_histogram` (#groups × #distinct rows) and one
+    :func:`rank_pick` over all groups.  Output ``(group, q, value)`` sorted
+    by (group, q)."""
     import ray.data
 
+    groups, starts, v, cnt = value_histogram(ds, col, group_col)
     return ray.data.from_arrow(
         pa.table(
             {
-                group_col: pa.array(out_g),
-                "q": pa.array(out_q, type=pa.float64()),
-                "value": pa.array(out_v),
+                group_col: pa.array(np.repeat(groups, len(qs))),
+                "q": pa.array(np.tile(np.asarray(qs, dtype=np.float64), len(groups))),
+                "value": pa.array(v[rank_pick(cnt, starts, qs).ravel()]),
             }
         )
     )
@@ -362,35 +392,15 @@ def column_quantiles(ds, col: str, qs: tuple[float, ...] = (0.1, 0.5, 0.9, 0.99)
 
     Output ``(q, value)`` sorted by q — the explicit-rank definition both
     this and the SQL oracle compute, so no quantile-convention ambiguity.
+    One :func:`value_histogram` + :func:`rank_pick`; an empty (or all-null)
+    column gives a null value per q.
     """
-
-    def partial(b: pa.Table) -> pa.Table:
-        vc = b.column(col).combine_chunks().value_counts() if isinstance(
-            b.column(col), pa.ChunkedArray
-        ) else b.column(col).value_counts()
-        return pa.table(
-            {"v": vc.field("values"), "cnt": pc.cast(vc.field("counts"), pa.int64())}
-        )
-
-    red = grouped_aggregate(
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
-        "v",
-        {"cnt": ("cnt", "sum")},
-    )
-    pdf = red.to_pandas().sort_values("v").reset_index(drop=True)
-    cum = pdf["cnt"].cumsum().to_numpy()
-    vals = pdf["v"].to_numpy()
-    n = int(cum[-1]) if len(cum) else 0
-    out_q, out_v = [], []
-    for q in qs:
-        rank = max(1, math.ceil(q * float(n)))
-        i = int(np.searchsorted(cum, rank))
-        out_q.append(float(q))
-        out_v.append(vals[min(i, len(vals) - 1)] if len(vals) else None)
     import ray.data
 
+    _, starts, v, cnt = value_histogram(ds, col)
+    vals = v[rank_pick(cnt, starts, qs)[0]] if len(v) else [None] * len(qs)
     return ray.data.from_arrow(
-        pa.table({"q": pa.array(out_q, type=pa.float64()), "value": pa.array(out_v)})
+        pa.table({"q": pa.array(np.asarray(qs, dtype=np.float64)), "value": pa.array(vals)})
     )
 
 
@@ -444,9 +454,7 @@ def column_quantiles_select(
     ds,
     col: str,
     qs: tuple[float, ...] = (0.1, 0.5, 0.9, 0.99),
-    sample_per_batch: int = 1024,
     max_collect: int = 4_000_000,
-    max_rounds: int = 8,
 ):
     """Exact quantiles for ARBITRARY columns — no bounded-distinct assumption
     (the upgrade named in :func:`column_quantiles`'s scale note).
@@ -471,6 +479,9 @@ def column_quantiles_select(
     cumulative count ≥ ceil(q·n).
     """
     import ray.data
+
+    sample_per_batch = 1024  # pivot candidates per batch and interval
+    max_rounds = 8
 
     def _vals(b: pa.Table) -> np.ndarray:
         c = b.column(col)
@@ -640,9 +651,7 @@ def group_quantiles_select(
     col: str,
     group_col: str,
     qs: tuple[float, ...] = (0.25, 0.5, 0.9),
-    sample_per_batch: int = 256,
     max_collect: int = 2_000_000,
-    max_rounds: int = 12,
 ):
     """Exact PER-GROUP quantiles for ARBITRARY value columns — the grouped
     form of :func:`column_quantiles_select`, with NO bounded-distinct
@@ -670,6 +679,9 @@ def group_quantiles_select(
     :func:`column_quantiles`: smallest v with within-group cumulative
     count ≥ ceil(q·n_group)."""
     import ray.data
+
+    sample_per_batch = 256  # pivot candidates per batch and (group, interval)
+    max_rounds = 12
 
     # pass 0: group inventory + exact row counts (one tiny row per group)
     def cpartial(b: pa.Table) -> pa.Table:
@@ -992,49 +1004,30 @@ def mixture_weights(ds, group_col: str, target: dict[str, float]):
     stratum holding share p of the corpus but targeted at share t gets
     weight t/p (>1 = upsample, <1 = downsample).
 
-    One exchange (per-batch count partials, grouped sum); the finalize is
-    stratum-count-sized.  Strata absent from ``target`` get weight 0.0 —
-    dropped by a downstream weighted sample, and visible (not silently
-    renormalized) in the output.  Output: (group, n_docs, actual_share,
-    weight), sorted by group; float expressions are single divisions of
-    integer-valued counts, so the SQL oracle hash-matches bit-exactly.
+    One exchange (the :func:`value_histogram` of the stratum column); the
+    driver finalize is stratum-count-sized.  Strata absent from ``target``
+    get weight 0.0 — dropped by a downstream weighted sample, and visible
+    (not silently renormalized) in the output.  Output: (group, n_docs,
+    actual_share, weight), sorted by group; float expressions are single
+    divisions of integer-valued counts, so the SQL oracle hash-matches
+    bit-exactly.
     """
-    import pyarrow.compute as pc
+    import ray.data
 
-    from ..util import coalesce_small, grouped_aggregate
-
-    def partial(b: pa.Table) -> pa.Table:
-        vc = b.column(group_col).value_counts()
-        return pa.table(
-            {group_col: vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())}
-        )
-
-    red = grouped_aggregate(
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
-        group_col,
-        {"n_docs": ("n", "sum")},
-        weight=0.125,
-    )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        # per-block total is WRONG unless this runs on the single coalesced
-        # block — repartition(1) below guarantees the whole (tiny) table
-        n = t.column("n_docs").to_numpy(zero_copy_only=False).astype(np.float64)
-        total = n.sum()
-        share = n / total
-        g = t.column(group_col).to_numpy(zero_copy_only=False)
-        tgt = np.array([float(target.get(x, 0.0)) for x in g])
-        w = tgt / share
-        return pa.table(
+    _, _, g, n_docs = value_histogram(ds, group_col)
+    n = n_docs.astype(np.float64)
+    share = n / n.sum()
+    tgt = np.array([float(target.get(x, 0.0)) for x in g])
+    return ray.data.from_arrow(
+        pa.table(
             {
-                group_col: t.column(group_col),
-                "n_docs": t.column("n_docs"),
+                group_col: pa.array(g),
+                "n_docs": pa.array(n_docs),
                 "actual_share": pa.array(share),
-                "weight": pa.array(w),
+                "weight": pa.array(tgt / share),
             }
         )
-
-    return red.repartition(1).map_batches(finalize, batch_format="pyarrow").sort(group_col)
+    )
 
 
 def token_budget_sample(
@@ -1195,35 +1188,18 @@ def rank_transform(ds, col: str, id_col: str = "doc_id", sort: bool = True):
     transform (percentile = (rank_lt + 1) / n on the consumer side).
 
     Two passes, bounded-distinct contract (the :func:`column_quantiles`
-    class — scores, lengths, grades; NOT continuous uniques): pass 1
-    collapses the column to a value histogram (in-batch ``np.unique`` + one
-    collapsed exchange), the driver folds it into a sorted
+    class — scores, lengths, grades; NOT continuous uniques): pass 1 is the
+    :func:`value_histogram`, folded by :func:`below` into a sorted
     (values, cumulative-below) table broadcast once; pass 2 is a row-local
     ``searchsorted`` gather — the rows themselves never shuffle.
     """
-    import pyarrow as pa
-
-    from ..util import coalesce_small, grouped_aggregate
-
-    def hist(b: pa.Table) -> pa.Table:
-        v = b.column(col).to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(uniq), "c": pa.array(cnt.astype(np.int64))})
-
-    vc = grouped_aggregate(
-        coalesce_small(ds.map_batches(hist, batch_format="pyarrow"), 0.25),
-        "v",
-        {"c": ("c", "sum")},
-    ).to_pandas()
-    vc = vc.sort_values("v")
-    values = vc["v"].to_numpy()
-    below = np.concatenate(([0], np.cumsum(vc["c"].to_numpy())[:-1])).astype(np.int64)
     import ray
 
-    ref = ray.put((values, below)) if ray.is_initialized() else (values, below)
+    _, starts, values, cnt = value_histogram(ds, col)
+    ref = ray.put((values, below(cnt, starts)))
 
     def gather(b: pa.Table) -> pa.Table:
-        vals, bel = ray.get(ref) if not isinstance(ref, tuple) else ref
+        vals, bel = ray.get(ref)
         v = b.column(col).to_numpy(zero_copy_only=False)
         idx = np.searchsorted(vals, v)
         return b.select([id_col, col]).append_column("rank_lt", pa.array(bel[idx]))
@@ -1237,59 +1213,37 @@ def group_mad(ds, col: str, group_col: str, sort: bool = True):
     (median absolute deviation) — outlier-resistant scale estimation for
     quality gating where means/stds are poisoned by heavy tails.
 
-    Two histogram passes under the bounded-distinct contract (the
-    :func:`group_quantiles` class): pass 1 selects each group's median;
+    Two :func:`value_histogram` passes under the bounded-distinct contract
+    (the :func:`group_quantiles` class): pass 1 picks each group's median;
     the tiny (group → median) map broadcasts; pass 2 histograms the
-    absolute deviations per group and selects their median the same way.
-    Only distinct ``(group, value)`` pairs ever shuffle.  Integer columns
-    stay integer end to end (|v - med| is exact).  Returns
-    ``(group, median, mad)``.
+    absolute deviations ``_dev`` per group and picks their median the same
+    way.  Both passes see the same groups in the same order (a deviation is
+    null only where its value is).  Only distinct ``(group, value)`` pairs
+    ever shuffle.  Integer columns stay integer end to end (|v - med| is
+    exact).  Returns ``(group, median, mad)``.
     """
-    import math
-
-    import pandas as pd
-    import pyarrow as pa
     import ray
     import ray.data
 
-    from ..util import coalesce_small, grouped_aggregate
+    groups, starts, v, cnt = value_histogram(ds, col, group_col)
+    med = v[rank_pick(cnt, starts, (0.5,))[:, 0]]
+    ref = ray.put(dict(zip(groups, med)))
 
-    med_df = group_quantiles(ds, col, group_col, qs=(0.5,)).to_pandas()
-    med = dict(zip(med_df[group_col], med_df["value"]))
-    ref = ray.put(med) if ray.is_initialized() else med
+    def dev(b: pa.Table) -> pa.Table:
+        m = ray.get(ref)
+        gm = b.column(group_col).to_pandas().map(m).to_numpy()
+        d = np.abs(b.column(col).to_numpy(zero_copy_only=False) - gm)
+        return pa.table({group_col: b.column(group_col), "_dev": pa.array(d)})
 
-    def partial(b: pa.Table) -> pa.Table:
-        m = ray.get(ref) if not isinstance(ref, dict) else ref
-        g = b.column(group_col).to_pandas()
-        v = b.column(col).to_numpy(zero_copy_only=False)
-        gm = g.map(m).to_numpy()
-        dev = np.abs(v - gm)
-        df = pd.DataFrame({group_col: g, "v": dev})
-        vc = df.groupby([group_col, "v"], sort=False).size().rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(vc, preserve_index=False)
-
-    red = grouped_aggregate(
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
-        [group_col, "v"],
-        {"cnt": ("cnt", "sum")},
+    _, dstarts, d, dcnt = value_histogram(
+        ds.map_batches(dev, batch_format="pyarrow"), "_dev", group_col
     )
-    pdf = red.to_pandas().sort_values([group_col, "v"]).reset_index(drop=True)
-    out_g, out_m, out_d = [], [], []
-    for gval, sub in pdf.groupby(group_col, sort=True):
-        cum = sub["cnt"].cumsum().to_numpy()
-        vals = sub["v"].to_numpy()
-        rank = max(1, math.ceil(0.5 * float(cum[-1])))
-        i = min(int(np.searchsorted(cum, rank)), len(vals) - 1)
-        out_g.append(gval)
-        out_m.append(med[gval])
-        out_d.append(vals[i])
     out = ray.data.from_arrow(
         pa.table(
             {
-                group_col: pa.array(out_g),
-                "median": pa.array(np.asarray(out_m, dtype=np.int64)),
-                "mad": pa.array(np.asarray(out_d, dtype=np.int64)),
+                group_col: pa.array(groups),
+                "median": pa.array(med.astype(np.int64)),
+                "mad": pa.array(d[rank_pick(dcnt, dstarts, (0.5,))[:, 0]].astype(np.int64)),
             }
         )
     )
@@ -1303,52 +1257,25 @@ def group_gini(ds, col: str, group_col: str, sort: bool = True):
     inequality is a corpus-health signal (is one domain hogging tokens?).
 
     Integer-exact without touching pairs: from each group's value histogram
-    (the bounded-distinct contract), Σ|xi−xj| = 2·Σ_j c_j·(v_j·N_{<j} −
-    S_{<j}) with prefix counts/sums — one vectorized pass over the
-    COLLAPSED (group, value) table, never O(n²).  Only distinct pairs
-    shuffle.  Returns ``(group, n, sum_v, gini_num)``, all int64.
+    (:func:`value_histogram`, the bounded-distinct contract), Σ|xi−xj| =
+    2·Σ_j c_j·(v_j·N_{<j} − S_{<j}) with the :func:`below` prefix
+    counts/sums — one vectorized pass over the COLLAPSED (group, value)
+    table for all groups, never O(n²).  Only distinct pairs shuffle.
+    Returns ``(group, n, sum_v, gini_num)``, all int64.
     """
-    import pandas as pd
-    import pyarrow as pa
     import ray.data
 
-    from ..util import coalesce_small, grouped_aggregate
-
-    def partial(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                group_col: b.column(group_col).to_numpy(zero_copy_only=False),
-                "v": b.column(col).to_numpy(zero_copy_only=False),
-            }
-        )
-        vc = df.groupby([group_col, "v"], sort=False).size().rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(vc, preserve_index=False)
-
-    red = grouped_aggregate(
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
-        [group_col, "v"],
-        {"cnt": ("cnt", "sum")},
-    )
-    pdf = red.to_pandas().sort_values([group_col, "v"]).reset_index(drop=True)
-    out_g, out_n, out_s, out_gn = [], [], [], []
-    for gval, sub in pdf.groupby(group_col, sort=True):
-        v = sub["v"].to_numpy().astype(np.int64)
-        c = sub["cnt"].to_numpy().astype(np.int64)
-        n_lt = np.concatenate(([0], np.cumsum(c)[:-1]))
-        s_lt = np.concatenate(([0], np.cumsum(c * v)[:-1]))
-        gnum = 2 * int(np.sum(c * (v * n_lt - s_lt)))
-        out_g.append(gval)
-        out_n.append(int(c.sum()))
-        out_s.append(int(np.sum(c * v)))
-        out_gn.append(gnum)
+    groups, starts, v, c = value_histogram(ds, col, group_col)
+    v = v.astype(np.int64)
+    cv = c * v
+    gnum = 2 * np.add.reduceat(c * (v * below(c, starts) - below(cv, starts)), starts)
     out = ray.data.from_arrow(
         pa.table(
             {
-                group_col: pa.array(out_g),
-                "n": pa.array(np.asarray(out_n, dtype=np.int64)),
-                "sum_v": pa.array(np.asarray(out_s, dtype=np.int64)),
-                "gini_num": pa.array(np.asarray(out_gn, dtype=np.int64)),
+                group_col: pa.array(groups),
+                "n": pa.array(np.add.reduceat(c, starts)),
+                "sum_v": pa.array(np.add.reduceat(cv, starts)),
+                "gini_num": pa.array(gnum),
             }
         )
     )
@@ -1360,55 +1287,27 @@ def group_rank_transform(ds, col: str, group_col: str, id_col: str = "doc_id", s
     rows with a strictly smaller value — per-language percentile features
     (per-group thresholds without per-group jobs).
 
-    The (group, value) histogram collapses distributed (bounded-distinct
-    contract); the driver folds per-group sorted (values, cumulative-below)
-    tables, broadcast once; each batch gathers per group present in the
-    batch (loop over groups, vectorized within) — rows never shuffle.
+    The (group, value) :func:`value_histogram` collapses distributed
+    (bounded-distinct contract); :func:`below` turns it into per-group
+    sorted (values, cumulative-below) segments, broadcast once; each batch
+    gathers per group present in the batch (loop over groups, vectorized
+    within) — rows never shuffle.
     """
-    import pandas as pd
-    import pyarrow as pa
     import ray
 
-    from ..util import coalesce_small, grouped_aggregate
-
-    def hist(b: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                group_col: b.column(group_col).to_numpy(zero_copy_only=False),
-                "v": b.column(col).to_numpy(zero_copy_only=False),
-            }
-        )
-        vc = df.groupby([group_col, "v"], sort=False).size().rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return pa.Table.from_pandas(vc, preserve_index=False)
-
-    pdf = (
-        grouped_aggregate(
-            coalesce_small(ds.map_batches(hist, batch_format="pyarrow"), 0.125),
-            [group_col, "v"],
-            {"cnt": ("cnt", "sum")},
-        )
-        .to_pandas()
-        .sort_values([group_col, "v"])
-    )
-    tables = {
-        g: (
-            sub["v"].to_numpy(),
-            np.concatenate(([0], np.cumsum(sub["cnt"].to_numpy())[:-1])).astype(np.int64),
-        )
-        for g, sub in pdf.groupby(group_col, sort=False)
-    }
-    ref = ray.put(tables) if ray.is_initialized() else tables
+    groups, starts, values, cnt = value_histogram(ds, col, group_col)
+    ends = np.append(starts[1:], len(values))
+    ref = ray.put((dict(zip(groups, zip(starts, ends))), values, below(cnt, starts)))
 
     def gather(b: pa.Table) -> pa.Table:
-        t = ray.get(ref) if not isinstance(ref, dict) else ref
+        seg, vals, bel = ray.get(ref)
         g = b.column(group_col).to_pandas().to_numpy()
         v = b.column(col).to_numpy(zero_copy_only=False)
         out = np.zeros(len(v), dtype=np.int64)
         for gv in pd.unique(g):  # groups per batch, not rows
             m = g == gv
-            vals, below = t[gv]
-            out[m] = below[np.searchsorted(vals, v[m])]
+            s, e = seg[gv]
+            out[m] = bel[s + np.searchsorted(vals[s:e], v[m])]
         return b.select([id_col, group_col, col]).append_column("rank_lt", pa.array(out))
 
     out = ds.map_batches(gather, batch_format="pyarrow")

@@ -622,6 +622,29 @@ def _entropy_fold(gdf, key_name: str, ngroups: int):
     return pd.DataFrame({key_name: keys_, "n": n, "entropy": ent})
 
 
+def _entropy_by_key(partials, key_name: str, ngroups: int):
+    """Per-key entropy of collapsed ``(key, gi, n)`` partials: coalesce,
+    hash-partition by key, then :func:`_entropy_fold` each partition —
+    the shared tail of the cell- and polygon-keyed entropy operators."""
+    import pandas as pd
+
+    from ..util import _hash_cols, shuffle_parts
+
+    num_partitions = shuffle_parts(0.5)
+
+    def addpk(t: pa.Table) -> pa.Table:
+        df = pd.DataFrame({key_name: t.column(key_name).to_numpy(zero_copy_only=False)})
+        pk = (_hash_cols(df, [key_name]) % np.uint64(num_partitions)).astype(np.int32)
+        return t.append_column("_pk", pa.array(pk))
+
+    return (
+        coalesce_small(partials, 0.25)
+        .map_batches(addpk, batch_format="pyarrow")
+        .groupby("_pk")
+        .map_groups(lambda g: _entropy_fold(g, key_name, ngroups), batch_format="pandas")
+    )
+
+
 def cell_group_entropy(
     points_ds,
     grid: Grid,
@@ -644,10 +667,7 @@ def cell_group_entropy(
     """
     import pandas as pd
 
-    from ..util import _hash_cols, shuffle_parts
-
     gidx = {g: i for i, g in enumerate(groups)}
-    num_partitions = shuffle_parts(0.5)
     empty = pa.schema([("cell_id", pa.int64()), ("gi", pa.int64()), ("n", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -662,20 +682,8 @@ def cell_group_entropy(
         out = df.groupby(["cell_id", "gi"], as_index=False, sort=False).size()
         return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
 
-    partials = coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.25)
-
-    def addpk(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"cell_id": t.column("cell_id").to_numpy(zero_copy_only=False)})
-        pk = (_hash_cols(df, ["cell_id"]) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_pk", pa.array(pk))
-
-    def entropy(gdf: pd.DataFrame) -> pd.DataFrame:
-        return _entropy_fold(gdf, "cell_id", len(groups))
-
-    out = (
-        partials.map_batches(addpk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(entropy, batch_format="pandas")
+    out = _entropy_by_key(
+        points_ds.map_batches(partial, batch_format="pyarrow"), "cell_id", len(groups)
     )
     return out.sort("cell_id") if sort else out
 
@@ -845,12 +853,9 @@ def poly_group_entropy(
     """
     import pandas as pd
 
-    from ..util import _hash_cols, shuffle_parts
-
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, 32_000_000)
     key = ("pentropy", ref.hex(), how)
     gidx = {g: i for i, g in enumerate(groups)}
-    num_partitions = shuffle_parts(0.5)
     empty = pa.schema([("poly_id", pa.int32()), ("gi", pa.int64()), ("n", pa.int64())])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -873,20 +878,9 @@ def poly_group_entropy(
         out = df.groupby(["poly_id", "gi"], as_index=False, sort=False).size()
         return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
 
-    partials = coalesce_small(
-        points_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size), 0.25
-    )
-
-    def addpk(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"poly_id": t.column("poly_id").to_numpy(zero_copy_only=False)})
-        pk = (_hash_cols(df, ["poly_id"]) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_pk", pa.array(pk))
-
-    out = (
-        partials.map_batches(addpk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(lambda g: _entropy_fold(g, "poly_id", len(groups)), batch_format="pandas")
+    out = _entropy_by_key(
+        points_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size),
+        "poly_id",
+        len(groups),
     )
     return out.sort("poly_id") if sort else out

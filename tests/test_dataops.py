@@ -426,23 +426,6 @@ def test_split_assign_deterministic_and_balanced(ray_session):
     assert (a["split"] != c["split"]).mean() > 0.1
 
 
-def test_column_quantiles_exact(ray_session):
-    import ray.data
-
-    from rasterflow.pipelines.sampling import column_quantiles
-
-    rng = np.random.default_rng(3)
-    vals = rng.integers(0, 500, size=10_000)
-    ds = ray.data.from_pandas(pd.DataFrame({"x": vals}))
-    got = column_quantiles(ds, "x", qs=(0.1, 0.5, 0.9)).to_pandas()
-    sv = np.sort(vals)
-    import math
-
-    for q, v in zip(got["q"], got["value"]):
-        rank = max(1, math.ceil(q * len(sv)))
-        assert v == sv[rank - 1], (q, v, sv[rank - 1])
-
-
 def test_hll_accuracy_vs_exact(ray_session):
     import ray.data
 
@@ -594,44 +577,6 @@ def test_multimodal_vectorized_equals_rowwise():
     assert fa.column("frames").to_pylist() == fb.column("frames").to_pylist()
 
 
-def test_column_quantiles_select_exact(ray_session):
-    """Round 3: pivot-selection quantiles are exact on continuous
-    (unbounded-distinct) columns, heavy-duplicate columns, and match the
-    histogram method where that method's assumption holds."""
-    import math
-
-    import ray.data
-
-    from rasterflow.pipelines.sampling import column_quantiles, column_quantiles_select
-
-    rng = np.random.default_rng(3)
-    qs = (0.1, 0.5, 0.9, 0.99)
-
-    def expected(v):
-        sv = np.sort(v)
-        return [sv[max(1, math.ceil(q * len(sv))) - 1] for q in qs]
-
-    # continuous: all-distinct floats across several blocks
-    v = rng.standard_normal(20_000) * 100
-    ds = ray.data.from_pandas([pd.DataFrame({"x": c}) for c in np.array_split(v, 7)])
-    got = column_quantiles_select(ds, "x", qs, max_collect=500).to_pandas()
-    assert list(got["value"]) == expected(v)
-
-    # heavy duplicates: one value dominates (degenerate-interval shortcut)
-    v2 = np.concatenate([np.full(15_000, 42.0), rng.standard_normal(100)])
-    rng.shuffle(v2)
-    ds2 = ray.data.from_pandas([pd.DataFrame({"x": c}) for c in np.array_split(v2, 5)])
-    got2 = column_quantiles_select(ds2, "x", qs, max_collect=50).to_pandas()
-    assert list(got2["value"]) == expected(v2)
-
-    # agreement with the histogram method on a bounded-distinct int column
-    v3 = rng.integers(0, 40, size=8_000)
-    ds3 = ray.data.from_pandas([pd.DataFrame({"x": c}) for c in np.array_split(v3, 4)])
-    a = column_quantiles(ds3, "x", qs).to_pandas()
-    b = column_quantiles_select(ds3, "x", qs, max_collect=200).to_pandas()
-    assert list(a["value"]) == list(b["value"]) == expected(v3)
-
-
 def test_broadcast_join_matches_pandas(ray_session):
     import ray.data
 
@@ -766,21 +711,6 @@ def test_star_cc_adversarial_graphs(ray_session):
     assert all(got[i] == 5000 for i in range(5000, 5012))
     assert all(got[i] == 6000 for i in range(6000, 6012))
     assert len(got) == 201 + 40 + 24
-
-
-def test_quantiles_select_edge_cases(ray_session):
-    import ray.data
-
-    from rasterflow.pipelines.sampling import column_quantiles_select
-
-    # q = 1.0 and a single-row dataset
-    ds1 = ray.data.from_pandas(pd.DataFrame({"x": [7.5]}))
-    out = column_quantiles_select(ds1, "x", (0.5, 1.0)).to_pandas()
-    assert list(out["value"]) == [7.5, 7.5]
-    # all-equal column
-    ds2 = ray.data.from_pandas(pd.DataFrame({"x": np.full(5000, 3.0)}))
-    out2 = column_quantiles_select(ds2, "x", (0.1, 0.99), max_collect=100).to_pandas()
-    assert list(out2["value"]) == [3.0, 3.0]
 
 
 def test_ivf_layout_matches_in_memory(ray_session, emb, tmp_path):
@@ -1131,32 +1061,6 @@ def test_rank_in_group_matches_pandas(ray_session):
     exp["rnk"] = exp.groupby("lang", sort=False).cumcount() + 1
     exp = exp.sort_values("doc_id").reset_index(drop=True)[["lang", "n_chars", "doc_id", "rnk"]]
     pd.testing.assert_frame_equal(got.astype({"rnk": "int64"}), exp.astype({"rnk": "int64"}))
-
-
-def test_group_quantiles_explicit_rank(ray_session):
-    import math
-
-    import ray.data
-
-    from rasterflow.pipelines.sampling import group_quantiles
-
-    rng = np.random.default_rng(7)
-    df = pd.DataFrame(
-        {
-            "lang": np.array(["en", "de"])[rng.integers(0, 2, 600)],
-            "n_chars": rng.integers(0, 80, 600),
-        }
-    )
-    got = group_quantiles(
-        ray.data.from_pandas(df).repartition(4), "n_chars", "lang", qs=(0.25, 0.5, 0.9)
-    ).to_pandas()
-    for lang, sub in df.groupby("lang"):
-        v = np.sort(sub["n_chars"].to_numpy())
-        for q in (0.25, 0.5, 0.9):
-            rank = max(1, math.ceil(q * len(v)))
-            exp = v[rank - 1]
-            row = got[(got["lang"] == lang) & (got["q"] == q)]
-            assert int(row["value"].iloc[0]) == int(exp), (lang, q)
 
 
 def test_lag_deltas_matches_pandas(ray_session):

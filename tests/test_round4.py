@@ -233,77 +233,6 @@ def test_substring_hot_gram_stress_uncapped(ray_session):
     assert len(out) == 0
 
 
-def test_group_quantiles_select_continuous(ray_session):
-    """Directive r3#3: per-group EXACT quantiles over a continuous column
-    (every value distinct) — the old group_quantiles driver histogram would
-    materialize all 450k (group, value) pairs; the selection path keeps
-    driver state at O(groups × qs) and must still be exactly right."""
-    import ray.data
-
-    from rasterflow.pipelines.sampling import group_quantiles_select
-
-    rng = np.random.default_rng(61)
-    sizes = {"en": 200_000, "de": 150_000, "xx": 100_001}
-    frames = [
-        pd.DataFrame({"lang": g, "v": rng.random(n) * 1000.0})
-        for g, n in sizes.items()
-    ]
-    df = pd.concat(frames, ignore_index=True)
-    qs = (0.25, 0.5, 0.9)
-    got = (
-        group_quantiles_select(
-            ray.data.from_pandas(df).repartition(8),
-            "v",
-            "lang",
-            qs=qs,
-            max_collect=5_000,  # force real pivot-narrowing rounds
-        )
-        .to_pandas()
-        .sort_values(["lang", "q"])
-        .reset_index(drop=True)
-    )
-    import math
-
-    for g, n in sizes.items():
-        sv = np.sort(df[df["lang"] == g]["v"].to_numpy())
-        for q in qs:
-            exp = sv[max(1, math.ceil(q * n)) - 1]
-            val = got[(got["lang"] == g) & (got["q"] == q)]["value"].iloc[0]
-            assert val == exp, (g, q, val, exp)
-
-
-def test_group_quantiles_select_matches_histogram_path(ray_session):
-    """Bounded-distinct fixture: the selection path and the histogram path
-    (group_quantiles) agree exactly, including heavy duplicate runs."""
-    import ray.data
-
-    from rasterflow.pipelines.sampling import group_quantiles, group_quantiles_select
-
-    rng = np.random.default_rng(67)
-    df = pd.DataFrame(
-        {
-            "g": np.array(["a", "b", "c"])[rng.integers(0, 3, 30_000)],
-            "v": rng.integers(0, 50, 30_000).astype(np.float64),
-        }
-    )
-    ds = ray.data.from_pandas(df).repartition(5)
-    qs = (0.1, 0.5, 0.99)
-    a = (
-        group_quantiles_select(ds, "v", "g", qs=qs, max_collect=100)
-        .to_pandas()
-        .sort_values(["g", "q"])
-        .reset_index(drop=True)
-    )
-    b = (
-        group_quantiles(ds, "v", "g", qs=qs)
-        .to_pandas()
-        .sort_values(["g", "q"])
-        .reset_index(drop=True)
-    )
-    b.columns = ["g", "q", "value"]
-    pd.testing.assert_frame_equal(a.astype({"value": "float64"}), b.astype({"value": "float64"}))
-
-
 def test_hash_join_skew_salting(ray_session):
     """Directive r3#4: a zipf-ish key (one key = 20% of the left side) is
     salted across dedicated partitions with the right side replicated —
@@ -742,28 +671,6 @@ def test_cc_checkpoint_rerun_same_dir(ray_session, tmp_path):
     second = run()  # same dir: must not see the first run's fragments
     pd.testing.assert_frame_equal(first, second)
     assert len(first) > 0
-
-
-def test_mixture_weights(ray_session):
-    """Target/actual share weights; absent strata get weight 0 (visible,
-    not renormalized)."""
-    import ray.data
-
-    from rasterflow.pipelines.sampling import mixture_weights
-
-    df = pd.DataFrame({"source": ["a"] * 600 + ["b"] * 300 + ["c"] * 100})
-    out = (
-        mixture_weights(
-            ray.data.from_pandas(df).repartition(4), "source", {"a": 0.5, "b": 0.5}
-        )
-        .to_pandas()
-        .set_index("source")
-    )
-    assert out.loc["a", "n_docs"] == 600
-    np.testing.assert_allclose(out.loc["a", "weight"], 0.5 / 0.6)
-    np.testing.assert_allclose(out.loc["b", "weight"], 0.5 / 0.3)
-    assert out.loc["c", "weight"] == 0.0
-    np.testing.assert_allclose(out["actual_share"].sum(), 1.0)
 
 
 def test_full_outer_hash_join(ray_session):

@@ -538,27 +538,6 @@ def test_edit1_pairs_non_ascii(ray_session):
     assert got == [("ba", "\u00e9a"), ("cafe", "caf\u00e9"), ("\u00e9a", "\u00e9ab")]
 
 
-def test_rank_transform_matches_scipy_style_rank(ray_session):
-    import ray.data
-
-    from rasterflow.pipelines.sampling import rank_transform
-
-    rng = np.random.default_rng(97)
-    n = 3000
-    df = pd.DataFrame(
-        {
-            "doc_id": np.arange(n, dtype=np.int64),
-            "n_chars": rng.integers(0, 80, n).astype(np.int64),  # heavy ties
-        }
-    )
-    got = rank_transform(ray.data.from_pandas(df).repartition(6), "n_chars").to_pandas()
-    v = df["n_chars"].to_numpy()
-    exp = np.array([(v < x).sum() for x in v], dtype=np.int64)
-    assert (got.sort_values("doc_id")["rank_lt"].to_numpy() == exp).all()
-    # min value has rank 0; percentile = (rank+1)/n is within (0, 1]
-    assert got["rank_lt"].min() == 0
-
-
 def test_cube_aggregate_matches_pandas(ray_session):
     import ray.data
 
@@ -594,39 +573,6 @@ def test_cube_aggregate_matches_pandas(ray_session):
     assert ((got["source"] == "ALL") & (got["lang"] == "ALL")).sum() == 1
     assert ((got["source"] == "ALL") & (got["lang"] != "ALL")).sum() == 2
     assert ((got["source"] != "ALL") & (got["lang"] == "ALL")).sum() == 3
-
-
-def test_group_mad_matches_rank_rule_brute(ray_session):
-    import math
-
-    import ray.data
-
-    from rasterflow.pipelines.sampling import group_mad
-
-    rng = np.random.default_rng(103)
-    n = 2500
-    df = pd.DataFrame(
-        {
-            "lang": rng.choice(["a", "b", "c"], n),
-            "n_chars": rng.integers(0, 300, n).astype(np.int64),
-        }
-    )
-    # plant outliers: MAD must ignore them where std would not
-    df.loc[:20, "n_chars"] = 100000
-    got = group_mad(ray.data.from_pandas(df).repartition(5), "n_chars", "lang").to_pandas()
-
-    def rank_med(v):
-        sv = np.sort(v)
-        return int(sv[max(1, math.ceil(0.5 * len(sv))) - 1])
-
-    rows = []
-    for g, sub in df.groupby("lang"):
-        med = rank_med(sub["n_chars"].to_numpy())
-        mad = rank_med(np.abs(sub["n_chars"].to_numpy() - med))
-        rows.append((g, med, mad))
-    exp = pd.DataFrame(rows, columns=["lang", "median", "mad"])
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
-    assert (got["mad"] < 1000).all()  # outliers didn't poison the scale
 
 
 def test_run_job_compact_preserves_content(ray_session, tmp_path, monkeypatch):
@@ -695,57 +641,6 @@ def test_group_skyline_matches_brute(ray_session):
     ).reset_index(drop=True)
     pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
     assert got["g"].nunique() == 3
-
-
-def test_group_gini_matches_pair_brute(ray_session):
-    import ray.data
-
-    from rasterflow.pipelines.sampling import group_gini
-
-    rng = np.random.default_rng(109)
-    n = 1200
-    df = pd.DataFrame(
-        {
-            "lang": rng.choice(["a", "b"], n),
-            "n_chars": rng.integers(0, 200, n).astype(np.int64),
-        }
-    )
-    got = group_gini(ray.data.from_pandas(df).repartition(5), "n_chars", "lang").to_pandas()
-    rows = []
-    for g, sub in df.groupby("lang"):
-        v = sub["n_chars"].to_numpy().astype(np.int64)
-        gnum = int(np.abs(v[:, None] - v[None, :]).sum())
-        rows.append((g, len(v), int(v.sum()), gnum))
-    exp = pd.DataFrame(rows, columns=["lang", "n", "sum_v", "gini_num"])
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
-    # constant column -> zero inequality
-    cdf = pd.DataFrame({"lang": ["z"] * 50, "n_chars": [7] * 50})
-    z = group_gini(ray.data.from_pandas(cdf), "n_chars", "lang").to_pandas()
-    assert z["gini_num"].iloc[0] == 0
-
-
-def test_group_rank_transform_matches_brute(ray_session):
-    import ray.data
-
-    from rasterflow.pipelines.sampling import group_rank_transform
-
-    rng = np.random.default_rng(113)
-    n = 2200
-    df = pd.DataFrame(
-        {
-            "doc_id": np.arange(n, dtype=np.int64),
-            "lang": rng.choice(["a", "b", "c"], n),
-            "n_chars": rng.integers(0, 60, n).astype(np.int64),  # tie-heavy
-        }
-    )
-    got = group_rank_transform(
-        ray.data.from_pandas(df).repartition(6), "n_chars", "lang"
-    ).to_pandas()
-    exp = np.empty(n, dtype=np.int64)
-    for g, sub in df.groupby("lang"):
-        v = sub["n_chars"].to_numpy()
-        exp[sub.index.to_numpy()] = np.array([(v < x).sum() for x in v])
-    assert (got.sort_values("doc_id")["rank_lt"].to_numpy() == exp).all()
 
 
 def test_domain_trend_matches_brute(ray_session):
