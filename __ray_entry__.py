@@ -1353,38 +1353,20 @@ def _q_join_part_agg(sf_dir: str):
     """Broadcast hash join (fact stream × dimension table) + grouped agg:
     revenue-style rollup of lineitem by part brand.  The part table ships
     once via ray.put; every lineitem batch joins against it with pyarrow's
-    C++ hash join — zero shuffle before the tiny brand aggregate."""
+    C++ hash join and collapses to per-brand partials in the same task,
+    which fold on the driver — zero shuffle."""
     import pyarrow.parquet as pq
     import ray.data
 
     from rasterflow.pipelines.relational import broadcast_join
-    from rasterflow.util import coalesce_small, grouped_aggregate
+    from rasterflow.util import keyed_fold
 
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_quantity"])
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]).rename_columns(
         ["l_partkey", "p_brand"]
     )
     joined = broadcast_join(li, part, on="l_partkey")
-
-    def partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame(
-            {
-                "p_brand": b.column("p_brand").to_numpy(zero_copy_only=False),
-                "q": b.column("l_quantity").to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("p_brand", sort=False).agg(n=("q", "size"), sum_qty=("q", "sum")).reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    red = grouped_aggregate(
-        coalesce_small(joined.map_batches(partial, batch_format="pyarrow"), 0.125),
-        "p_brand",
-        {"n": ("n", "sum"), "sum_qty": ("sum_qty", "sum")},
-    )
-    return red.sort("p_brand")
+    return keyed_fold(joined, "p_brand", {"n": ("p_brand", "count"), "sum_qty": ("l_quantity", "sum")})
 
 
 def _q_asof_purchase_click(sf_dir: str):

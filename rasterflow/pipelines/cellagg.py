@@ -2,11 +2,11 @@
 
 The reference's canvas is a dense per-cell ``(count, sum)`` accumulator
 (``RasterJoin/join/RasterJoin.cpp:51-78``).  Here it is a two-stage
-aggregation: a vectorized per-batch ``np.bincount`` partial (one row per
-touched cell per batch) followed by a small ``groupby("cell_id").sum`` over
-the partials — the canonical partial→final split (SURVEY.md §2.5 A3) that
-avoids shuffling raw rows and neutralizes hot-cell skew (a hot cell collapses
-to one partial row per batch regardless of its point count).
+aggregation (:func:`~rasterflow.util.keyed_fold`): a per-block count partial
+(one row per touched cell per block) folded on the driver — the canonical
+partial→final split (SURVEY.md §2.5 A3) that avoids shuffling raw rows and
+neutralizes hot-cell skew (a hot cell collapses to one partial row per block
+regardless of its point count), like the reference's canvas readback.
 """
 
 from __future__ import annotations
@@ -15,33 +15,34 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom.cells import Grid, encode_cells
+from ..util import _group, keyed_fold
+
+
+def _cell_counts(points_ds, grid: Grid, value_col: str | None = None) -> pa.Table:
+    """``(cell_id, n [, val_sum])`` per touched local-grid cell, sorted."""
+    import pyarrow.compute as pc
+
+    def cells(batch: pa.Table) -> pa.Table:
+        lin, valid = grid.locate_linear(
+            batch.column("x").to_numpy(zero_copy_only=False), batch.column("y").to_numpy(zero_copy_only=False)
+        )
+        cols = {"cell_id": lin[valid]}
+        if value_col is not None:
+            cols["v"] = pc.cast(batch.column(value_col).filter(pa.array(valid)), pa.float64())
+        return pa.table(cols)
+
+    aggs = {"n": ("cell_id", "count")}
+    if value_col is not None:
+        aggs["val_sum"] = ("v", "sum")
+    return keyed_fold(points_ds.map_batches(cells, batch_format="pyarrow"), "cell_id", aggs)
 
 
 def cell_histogram_grid(points_ds, grid: Grid, value_col: str | None = None, sort: bool = True):
-    """Counts (and optional sums) per local-grid cell (linearized ids)."""
+    """Counts (and optional sums) per local-grid cell (linearized ids),
+    always sorted by cell id."""
+    import ray.data
 
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        lin, valid = grid.locate_linear(x, y)
-        lin = lin[valid]
-        cells, counts = np.unique(lin, return_counts=True)
-        cols = {"cell_id": cells, "n": counts.astype(np.int64)}
-        if value_col is not None:
-            v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)[valid]
-            order = np.argsort(lin, kind="stable")
-            sums = np.add.reduceat(v[order], np.concatenate(([0], np.cumsum(counts)[:-1])))
-            cols["val_sum"] = sums
-        return pa.table(cols)
-
-    from ..util import coalesce_small, grouped_aggregate
-
-    partials = coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.5)
-    aggs = {"n": ("n", "sum")}
-    if value_col is not None:
-        aggs["val_sum"] = ("val_sum", "sum")
-    out = grouped_aggregate(partials, "cell_id", aggs)
-    return out.sort("cell_id") if sort else out
+    return ray.data.from_arrow(_cell_counts(points_ds, grid, value_col))
 
 
 def extract_raster_at_points(points_ds, grid: Grid, out_col: str = "density"):
@@ -52,7 +53,7 @@ def extract_raster_at_points(points_ds, grid: Grid, out_col: str = "density"):
     The collapsed count raster (canvas-sized, the same bound as every other
     canvas structure) broadcasts once via ``ray.put`` as a dense int64
     vector; each batch gathers it at the point's linearized cell — zero
-    shuffle of the points, one exchange to build the raster.  Off-canvas
+    shuffle of the points, no exchange to build the raster.  Off-canvas
     points get density 0."""
     import ray
 
@@ -140,23 +141,17 @@ def aggregate_catalog(points_ds, catalog: dict, how: str = "hybrid", **kwargs):
 
 def cell_histogram_global(points_ds, res: int, x_col: str = "x", y_col: str = "y", sort: bool = True):
     """Counts per global hierarchical cell id at resolution ``res`` (M7/T5
-    analogue — the engine's tile-assignment histogram)."""
+    analogue — the engine's tile-assignment histogram), always sorted by
+    cell id."""
+    import ray.data
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         x = batch.column(x_col).to_numpy(zero_copy_only=False).astype(np.float64)
         y = batch.column(y_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        ids = encode_cells(x, y, res)
-        cells, counts = np.unique(ids, return_counts=True)
-        return pa.table({"cell_id": cells, "n": counts.astype(np.int64)})
+        return pa.table({"cell_id": encode_cells(x, y, res)})
 
-    from ..util import coalesce_small, grouped_aggregate
-
-    out = grouped_aggregate(
-        coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.5),
-        "cell_id",
-        {"n": ("n", "sum")},
-    )
-    return out.sort("cell_id") if sort else out
+    cells_ds = points_ds.map_batches(cells, batch_format="pyarrow")
+    return ray.data.from_arrow(keyed_fold(cells_ds, "cell_id", {"n": ("cell_id", "count")}))
 
 
 #: integer 3x3 stencils — integer weights keep the DuckDB oracle exact.
@@ -168,111 +163,70 @@ _FOCAL_KERNELS = {
 }
 
 
-def focal_cell_smooth(points_ds, grid: Grid, kernel: str = "gauss3", num_partitions: int | None = None):
+#: the 3x3 stencil's offsets, in ``_FOCAL_KERNELS`` order (row-major from
+#: the south-west neighbor)
+_DX = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
+_DY = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
+
+
+def _stencil_sums(points_ds, grid: Grid, weights: dict[str, np.ndarray]) -> pa.Table:
+    """``(cell_id, n, *weights)`` sorted by cell id: each lit cell scatters
+    ``n·w`` (one int64 weight per stencil offset) to its ≤9 in-grid
+    neighbors and the scattered rows are summed per target cell; ``n`` is
+    the cell's own count (0 for a cell lit only by a neighbor)."""
+    hist = _cell_counts(points_ds, grid)
+    nx, ny = np.int64(grid.nx), np.int64(grid.ny)
+    c = hist.column("cell_id").to_numpy().astype(np.int64)
+    n = hist.column("n").to_numpy()
+    tx = (c % nx)[:, None] + _DX[None, :]
+    ty = (c // nx)[:, None] + _DY[None, :]
+    ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
+    own = np.where((_DX == 0) & (_DY == 0), n[:, None], np.int64(0))
+    cols = {"cell_id": (ty * nx + tx)[ok], "own": own[ok]}
+    cols.update({k: (n[:, None] * w[None, :])[ok] for k, w in weights.items()})
+    aggs = {"n": ("own", "sum")} | {k: (k, "sum") for k in weights}
+    return _group(pa.table(cols), ["cell_id"], aggs).sort_by("cell_id")
+
+
+def focal_cell_smooth(points_ds, grid: Grid, kernel: str = "gauss3"):
     """Focal (neighborhood) weighted sum over the per-cell count raster —
     GIS "focal statistics", the kernel-density-lite smoothing primitive the
     reference's dense canvas would express as a convolution pass (its canvas
     readback at ``RasterJoin/join/RasterJoin.cpp:51-78`` never smooths; this
     is the natural next step a heatmap consumer runs on it).
 
-    Plan: :func:`cell_histogram_grid` collapses the point stream to
-    canvas-sized (cell, n) rows; each cell then *scatters* ``n x w`` to its
-    <=9 in-grid neighbors (row-local ~9x expansion of canvas-sized rows — a
-    gather formulation would need neighbor lookups across partitions; the
-    scatter needs only ONE hash exchange), and :func:`~rasterflow.util.
-    grouped_aggregate` sums per target cell.  Integer stencil weights make
-    the result exactly SQL-replicable.
+    Plan: the point stream collapses to canvas-sized (cell, n) rows on the
+    driver (:func:`~rasterflow.util.keyed_fold`); each cell then *scatters*
+    ``n x w`` to its <=9 in-grid neighbors and one Arrow ``group_by`` sums
+    per target cell — no exchange.  Integer stencil weights make the result
+    exactly SQL-replicable.
 
     Output, sorted by cell id, one row per cell with nonzero focal mass:
     ``(cell_id, n, focal_n)`` — ``n`` is the cell's own count (0 for empty
     cells lit only by a neighbor), ``focal_n`` the weighted neighborhood
     sum."""
-    from ..util import grouped_aggregate
+    import ray.data
 
-    wgrid = _FOCAL_KERNELS[kernel]
-    nx, ny = np.int64(grid.nx), np.int64(grid.ny)
-    dxs = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
-    dys = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
-    ws = np.array(wgrid, dtype=np.int64)
-
-    hist = cell_histogram_grid(points_ds, grid, sort=False)
-
-    def scatter(t: pa.Table) -> pa.Table:
-        c = t.column("cell_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        cx, cy = c % nx, c // nx
-        tx = cx[:, None] + dxs[None, :]
-        ty = cy[:, None] + dys[None, :]
-        ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
-        wn = n[:, None] * ws[None, :]
-        own = np.where((dxs[None, :] == 0) & (dys[None, :] == 0), n[:, None], np.int64(0))
-        tgt = (ty * nx + tx)[ok]
-        return pa.table(
-            {"cell_id": pa.array(tgt), "wn": pa.array(wn[ok]), "own": pa.array(own[ok])}
-        )
-
-    scattered = hist.map_batches(scatter, batch_format="pyarrow")
-    out = grouped_aggregate(
-        scattered,
-        "cell_id",
-        {"n": ("own", "sum"), "focal_n": ("wn", "sum")},
-        num_partitions=num_partitions,
-        weight=0.25,
-    )
-    return out.sort("cell_id")
+    ws = np.array(_FOCAL_KERNELS[kernel], dtype=np.int64)
+    return ray.data.from_arrow(_stencil_sums(points_ds, grid, {"focal_n": ws}))
 
 
-def raster_gradient(points_ds, grid: Grid, num_partitions: int | None = None):
+def raster_gradient(points_ds, grid: Grid):
     """Sobel gradient over the per-cell count raster — edge detection on the
     heatmap (the GIS slope/aspect primitive, run on density instead of
-    elevation).  Same scatter plan as :func:`focal_cell_smooth`: the point
-    stream collapses to canvas-sized (cell, n) rows, each cell scatters
-    ``n·wx, n·wy`` to its ≤9 in-grid neighbors, ONE hash exchange sums per
-    target.  Integer stencil weights (wx = dx·(2-|dy|), wy = dy·(2-|dx|))
-    keep the result exactly SQL-replicable; ``mag2 = gx² + gy²`` stays in
-    int64.  Output per touched cell: ``(cell_id, n, gx, gy, mag2)``."""
-    from ..util import grouped_aggregate
+    elevation).  Same scatter plan as :func:`focal_cell_smooth`: each lit
+    cell scatters ``n·wx, n·wy`` to its ≤9 in-grid neighbors, summed per
+    target on the driver.  Integer stencil weights (wx = dx·(2-|dy|), wy =
+    dy·(2-|dx|)) keep the result exactly SQL-replicable; ``mag2 = gx² +
+    gy²`` stays in int64.  Output per touched cell: ``(cell_id, n, gx, gy,
+    mag2)``."""
+    import ray.data
 
-    nx, ny = np.int64(grid.nx), np.int64(grid.ny)
-    dxs = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
-    dys = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
-    wxs = dxs * (2 - np.abs(dys))
-    wys = dys * (2 - np.abs(dxs))
-
-    hist = cell_histogram_grid(points_ds, grid, sort=False)
-
-    def scatter(t: pa.Table) -> pa.Table:
-        c = t.column("cell_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        cx, cy = c % nx, c // nx
-        tx = cx[:, None] + dxs[None, :]
-        ty = cy[:, None] + dys[None, :]
-        ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
-        own = np.where((dxs[None, :] == 0) & (dys[None, :] == 0), n[:, None], np.int64(0))
-        return pa.table(
-            {
-                "cell_id": pa.array((ty * nx + tx)[ok]),
-                "gx": pa.array((n[:, None] * wxs[None, :])[ok]),
-                "gy": pa.array((n[:, None] * wys[None, :])[ok]),
-                "own": pa.array(own[ok]),
-            }
-        )
-
-    scattered = hist.map_batches(scatter, batch_format="pyarrow")
-    red = grouped_aggregate(
-        scattered,
-        "cell_id",
-        {"n": ("own", "sum"), "gx": ("gx", "sum"), "gy": ("gy", "sum")},
-        num_partitions=num_partitions,
-        weight=0.25,
-    )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        gx = t.column("gx").to_numpy(zero_copy_only=False)
-        gy = t.column("gy").to_numpy(zero_copy_only=False)
-        return t.append_column("mag2", pa.array(gx * gx + gy * gy))
-
-    return red.map_batches(finalize, batch_format="pyarrow").sort("cell_id")
+    wx = _DX * (2 - np.abs(_DY))
+    wy = _DY * (2 - np.abs(_DX))
+    red = _stencil_sums(points_ds, grid, {"gx": wx, "gy": wy})
+    gx, gy = red.column("gx").to_numpy(), red.column("gy").to_numpy()
+    return ray.data.from_arrow(red.append_column("mag2", pa.array(gx * gx + gy * gy)))
 
 
 def hotspot_regions(points_ds, grid: Grid, min_count: int = 5, num_partitions: int | None = None):

@@ -32,7 +32,7 @@ import ray
 
 from ..geom.pip import pip_edge_lists, pip_pairs
 from ..state.bundle import PolygonBundle, build_bundle, csr_expand
-from ..util import grouped_aggregate, map_stage, streaming_group_sum, worker_memo
+from ..util import grouped_aggregate, keyed_fold, map_stage, worker_memo
 
 _STRATEGIES = ("raster", "index", "hybrid")
 
@@ -111,16 +111,30 @@ class SpatialJoinAgg:
         b = self.b
         if len(b.ucells) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+        if self.how == "hybrid":
+            return self._hybrid(x, y, lin, points=True)
         idx, hit = b.locate_ucells(lin)
         if self.how == "raster":
             return self._expand(b.ucover_indptr, b.ucover_vals, idx, hit)
-        if self.how == "index":
-            pts, pl = self._expand(b.ucand_indptr, b.ucand_vals, idx, hit)
-            pip_dtype = None if self.dtype == np.float64 else self.dtype
-            m = pip_pairs(x, y, pts, pl, b.verts, b.ring_offsets, b.poly_ring_offsets, dtype=pip_dtype)
-            return pts[m], pl[m]
-        # hybrid: exact — cover fast path off-border, PIP refinement on
-        # border; only points that hit a cell go on
+        # index
+        pts, pl = self._expand(b.ucand_indptr, b.ucand_vals, idx, hit)
+        pip_dtype = None if self.dtype == np.float64 else self.dtype
+        m = pip_pairs(x, y, pts, pl, b.verts, b.ring_offsets, b.poly_ring_offsets, dtype=pip_dtype)
+        return pts[m], pl[m]
+
+    def _match_polys(self, x, y, lin) -> np.ndarray:
+        """The poly id of every matched pair, for a count-only batch: the
+        hybrid branch then builds no matched point indices."""
+        if self.how == "hybrid" and len(self.b.ucells):
+            return self._hybrid(x, y, lin, points=False)[1]
+        return self._match_pairs(x, y, lin)[1]
+
+    def _hybrid(self, x, y, lin, points: bool):
+        """Hybrid (point_idx or None, poly_id) pairs: exact — cover fast path
+        off-border, PIP refinement on border; only points that hit a cell
+        go on."""
+        b = self.b
+        idx, hit = b.locate_ucells(lin)
         h = np.flatnonzero(hit)
         idx = idx[h]
         is_b = b.uborder[idx]
@@ -132,10 +146,10 @@ class SpatialJoinAgg:
             x[h_border], y[h_border], pts_b, b.uedge_start[slot], b.uedge_stop[slot], b.uedge_left[slot],
             b.uedge_ids, b.edge_table(self.dtype),
         )
-        return (
-            np.concatenate([h_int[pts_i], h_border[pts_b[m]]]),
-            np.concatenate([b.ucover_vals[val_i], b.ucand_vals[slot[m]]]),
-        )
+        polys = np.concatenate([b.ucover_vals[val_i], b.ucand_vals[slot[m]]])
+        if not points:
+            return None, polys
+        return np.concatenate([h_int[pts_i], h_border[pts_b[m]]]), polys
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         b = self.b
@@ -144,7 +158,10 @@ class SpatialJoinAgg:
         lin, valid = b.grid.locate_linear(x, y)
         if not valid.all():
             x, y, lin = x[valid], y[valid], lin[valid]
-        pts, pl = self._match_pairs(x, y, lin)
+        if self.value_col is None:
+            pl = self._match_polys(x, y, lin)
+        else:
+            pts, pl = self._match_pairs(x, y, lin)
         counts = np.bincount(pl, minlength=b.npolys).astype(np.int64)
         cols: dict[str, np.ndarray] = {}
         touched = np.flatnonzero(counts)
@@ -352,45 +369,32 @@ def aggregate_by_polygon(
     sum_cols = ["count"]
     if value_col is not None:
         sum_cols += ["sum_hi", "sum_lo"] if fixed_point else ["sum"]
+
+    def add_avg(t: pa.Table) -> pa.Table:
+        c = t.column("count").to_numpy(zero_copy_only=False).astype(np.float64)
+        if fixed_point:
+            hi = t.column("sum_hi").to_numpy(zero_copy_only=False).astype(np.float64)
+            lo = t.column("sum_lo").to_numpy(zero_copy_only=False).astype(np.float64)
+            val = hi * 100.0 + lo / 10.0  # decode, main.cpp:206-208
+        else:
+            val = t.column("sum").to_numpy(zero_copy_only=False)
+        avg = np.where(c > 0, val / np.maximum(c, 1.0), 0.0)
+        return pa.table({"poly_id": t.column("poly_id"), "count": t.column("count"), "avg": pa.array(avg)})
+
+    sums = {c: (c, "sum") for c in sum_cols}
+    avg = value_col is not None and agg == "avg"
     if reduce == "driver":
-        # per-polygon partials are ≤ npolys rows per block — stream them to
-        # the driver and reduce into dense O(npolys) accumulators (the
-        # reference's GPU->host readback step).  Keeps the Ray DAG to
-        # read+join only: the streaming executor splits the CPU budget across
-        # operators, so a long reduce chain starves the join stage at low CPU
-        # counts (measured 161s -> 27s at 8 CPUs).  Driver memory is O(npolys)
-        # regardless of block count; reduce="distributed" remains available
-        # for layers too large even for that (10^8+ polygons).
-        int_cols = {"count"}
-        if value_col is not None and fixed_point:
-            int_cols |= {"sum_hi", "sum_lo"}
-        red = streaming_group_sum(partials, "poly_id", sum_cols, int_cols=int_cols)
-        if value_col is not None and agg == "avg":
-            c = red["count"].to_numpy().astype(np.float64)
-            if fixed_point:
-                val = red["sum_hi"].to_numpy() * 100.0 + red["sum_lo"].to_numpy() / 10.0
-            else:
-                val = red["sum"].to_numpy()
-            red = red[["poly_id", "count"]].assign(avg=np.where(c > 0, val / np.maximum(c, 1.0), 0.0))
-        # streaming_group_sum emits keys in ascending order already
-        return ray.data.from_pandas(red)
-    out = grouped_aggregate(partials, "poly_id", {c: (c, "sum") for c in sum_cols})
-
-    if value_col is not None and agg == "avg":
-
-        def add_avg(t: pa.Table) -> pa.Table:
-            c = t.column("count").to_numpy(zero_copy_only=False).astype(np.float64)
-            if fixed_point:
-                hi = t.column("sum_hi").to_numpy(zero_copy_only=False).astype(np.float64)
-                lo = t.column("sum_lo").to_numpy(zero_copy_only=False).astype(np.float64)
-                val = hi * 100.0 + lo / 10.0  # decode, main.cpp:206-208
-            else:
-                val = t.column("sum").to_numpy(zero_copy_only=False)
-            avg = np.where(c > 0, val / np.maximum(c, 1.0), 0.0)
-            return pa.table(
-                {"poly_id": t.column("poly_id"), "count": t.column("count"), "avg": pa.array(avg)}
-            )
-
+        # per-polygon partials are ≤ npolys rows per block — fold them on the
+        # driver (the reference's GPU->host readback step).  Keeps the Ray DAG
+        # to read+join only: the streaming executor splits the CPU budget
+        # across operators, so a long reduce chain starves the join stage at
+        # low CPU counts (measured 161s -> 27s at 8 CPUs).  Driver memory is
+        # O(npolys) regardless of block count; reduce="distributed" remains
+        # available for layers too large even for that (10^8+ polygons).
+        red = keyed_fold(partials, "poly_id", sums)
+        return ray.data.from_arrow(add_avg(red) if avg else red)
+    out = grouped_aggregate(partials, "poly_id", sums)
+    if avg:
         out = out.map_batches(add_avg, batch_format="pyarrow")
     if sort:
         out = out.sort("poly_id")
@@ -434,19 +438,19 @@ def aggregate_with_bounds(
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells, area_fractions=True)
     # RasterBoundsAgg.__init__ sorts the outline key table: once per worker
     partials = map_stage(points_ds, RasterBoundsAgg, batch_size=batch_size, bundle=ref)
-    import pandas as pd
-
     cols = ["count", "fp_all", "fn_all", "fp_est", "fn_est"]
-    red = streaming_group_sum(partials, "poly_id", cols, int_cols={"count", "fp_all", "fn_all"})
-    c = red["count"].to_numpy().astype(np.float64)
-    out = pd.DataFrame(
-        {
-            "poly_id": red["poly_id"],
-            "agg": red["count"],
-            "lb_guar": c - red["fp_all"].to_numpy(),
-            "ub_guar": c + red["fn_all"].to_numpy(),
-            "lb_est": c - red["fp_est"].to_numpy(),
-            "ub_est": c + red["fn_est"].to_numpy(),
-        }
-    ).sort_values("poly_id").reset_index(drop=True)
-    return ray.data.from_pandas(out)
+    red = keyed_fold(partials, "poly_id", {c: (c, "sum") for c in cols})
+    c = red.column("count").to_numpy(zero_copy_only=False).astype(np.float64)
+    v = {k: red.column(k).to_numpy(zero_copy_only=False) for k in cols[1:]}
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "poly_id": red.column("poly_id"),
+                "agg": red.column("count"),
+                "lb_guar": c - v["fp_all"],
+                "ub_guar": c + v["fn_all"],
+                "lb_est": c - v["fp_est"],
+                "ub_est": c + v["fn_est"],
+            }
+        )
+    )

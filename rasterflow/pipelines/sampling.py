@@ -8,11 +8,11 @@ Training-data pipeline primitives:
   mixer is :func:`rasterflow.stages.texthash.mulrot_hash64`, chosen because
   every step is ANSI-SQL-expressible, so the driver oracle verifies the
   assignment bit-for-bit.
-- :func:`value_histogram` — the one exchange of the histogram family
+- :func:`value_histogram` — the one reduce of the histogram family
   (column/group quantiles, rank transforms, Gini, MAD, mixture weights):
-  per-batch ``(group, value)`` count partials (only distinct pairs cross
-  the shuffle), one grouped sum, one collect sorted by (group, value).  The
-  driver folds it in whole-array passes, :func:`rank_pick` and
+  per-block ``(group, value)`` count partials (only distinct pairs leave
+  the map tasks) folded on the driver into one table sorted by (group,
+  value), with no exchange.  The driver reads it in whole-array passes, :func:`rank_pick` and
   :func:`below`, never a loop per group.  Scale assumption: the
   distinct-value count per group is bounded (lengths, counts, scores in
   fixed ranges) — for unbounded continuous columns use the ``*_select``
@@ -28,7 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import coalesce_small, grouped_aggregate
+from ..util import coalesce_small, grouped_aggregate, keyed_fold
 
 
 def split_assign(
@@ -306,36 +306,22 @@ def rank_in_group(
 def value_histogram(ds, col: str, group_col: str | None = None):
     """Exact value histogram of ``col`` per group, collected on the driver.
 
-    One per-batch Arrow count partial, one
-    :func:`~rasterflow.util.grouped_aggregate` over the partials (its
-    pandas reduce drops null values and null groups), one collect — only
-    distinct ``(group, value)`` pairs cross the shuffle (the
+    One :func:`~rasterflow.util.keyed_fold`: a per-block Arrow count
+    partial folded on the driver (null values and null groups drop out) —
+    only distinct ``(group, value)`` pairs leave the map tasks (the
     bounded-distinct contract).
 
     Returns ``(groups, starts, v, cnt)``: ``v`` and its int64 counts
     ``cnt`` sorted by (group, value), group ``groups[i]`` owning
     ``v[starts[i]:starts[i + 1]]``.  Without ``group_col`` the whole
     histogram is one segment (none when empty) and ``groups`` is None."""
-    src, keys = ([col], ["v"]) if group_col is None else ([group_col, col], ["g", "v"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table([b.column(c) for c in src], names=keys)
-        return t.group_by(keys).aggregate([([], "count_all")]).rename_columns(keys + ["cnt"])
-
-    pdf = grouped_aggregate(
-        coalesce_small(ds.map_batches(partial, batch_format="pyarrow"), 0.125),
-        keys,
-        {"cnt": ("cnt", "sum")},
-    ).to_pandas()
-    groups = None if group_col is None else np.empty(0, dtype=object)
-    if pdf.empty:  # an empty exchange collects no columns at all
-        return groups, np.zeros(0, dtype=np.int64), np.empty(0), np.zeros(0, dtype=np.int64)
-    pdf = pdf.sort_values(keys, ignore_index=True)
-    v, cnt = pdf["v"].to_numpy(), pdf["cnt"].to_numpy().astype(np.int64)
+    keys = [col] if group_col is None else [group_col, col]
+    t = keyed_fold(ds, keys, {"_cnt": (col, "count")})
+    v, cnt = t.column(col).to_numpy(), t.column("_cnt").to_numpy()
     if group_col is None:
-        return None, np.zeros(1, dtype=np.int64), v, cnt
-    g = pdf["g"].to_numpy()
-    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        return None, np.zeros(min(1, len(v)), dtype=np.int64), v, cnt
+    g = t.column(group_col).to_numpy()
+    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1]))) if len(g) else np.zeros(0, np.int64)
     return g[starts], starts, v, cnt
 
 
@@ -358,6 +344,15 @@ def below(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     opens (count or sum of the strictly smaller values of a histogram)."""
     excl = np.cumsum(x) - x
     return excl - np.repeat(excl[starts], np.diff(np.append(starts, len(x))))
+
+
+def _valid(b: pa.Table, cols: list[str]) -> np.ndarray:
+    """Rows of ``b`` where no column of ``cols`` is null (or NaN) — the rows
+    a :func:`value_histogram` counts."""
+    ok = np.ones(b.num_rows, dtype=bool)
+    for c in cols:
+        ok &= ~pc.is_null(b.column(c), nan_is_null=True).to_numpy()
+    return ok
 
 
 def group_quantiles(
@@ -1191,7 +1186,8 @@ def rank_transform(ds, col: str, id_col: str = "doc_id", sort: bool = True):
     class — scores, lengths, grades; NOT continuous uniques): pass 1 is the
     :func:`value_histogram`, folded by :func:`below` into a sorted
     (values, cumulative-below) table broadcast once; pass 2 is a row-local
-    ``searchsorted`` gather — the rows themselves never shuffle.
+    ``searchsorted`` gather — the rows themselves never shuffle.  A row
+    with a null value gets a null rank (the histogram holds no nulls).
     """
     import ray
 
@@ -1200,9 +1196,10 @@ def rank_transform(ds, col: str, id_col: str = "doc_id", sort: bool = True):
 
     def gather(b: pa.Table) -> pa.Table:
         vals, bel = ray.get(ref)
-        v = b.column(col).to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(vals, v)
-        return b.select([id_col, col]).append_column("rank_lt", pa.array(bel[idx]))
+        ok = _valid(b, [col])
+        rank = np.zeros(len(ok), dtype=np.int64)
+        rank[ok] = bel[np.searchsorted(vals, b.column(col).to_numpy(zero_copy_only=False)[ok])]
+        return b.select([id_col, col]).append_column("rank_lt", pa.array(rank, mask=~ok))
 
     out = ds.map_batches(gather, batch_format="pyarrow")
     return out.sort(id_col) if sort else out
@@ -1219,8 +1216,9 @@ def group_mad(ds, col: str, group_col: str, sort: bool = True):
     absolute deviations ``_dev`` per group and picks their median the same
     way.  Both passes see the same groups in the same order (a deviation is
     null only where its value is).  Only distinct ``(group, value)`` pairs
-    ever shuffle.  Integer columns stay integer end to end (|v - med| is
-    exact).  Returns ``(group, median, mad)``.
+    leave the map tasks.  Integer columns stay integer end to end (|v - med|
+    is exact).  Returns ``(group, median, mad)``, built on the driver in
+    group order — sorted whatever ``sort`` says.
     """
     import ray
     import ray.data
@@ -1238,7 +1236,7 @@ def group_mad(ds, col: str, group_col: str, sort: bool = True):
     _, dstarts, d, dcnt = value_histogram(
         ds.map_batches(dev, batch_format="pyarrow"), "_dev", group_col
     )
-    out = ray.data.from_arrow(
+    return ray.data.from_arrow(
         pa.table(
             {
                 group_col: pa.array(groups),
@@ -1247,7 +1245,6 @@ def group_mad(ds, col: str, group_col: str, sort: bool = True):
             }
         )
     )
-    return out.sort(group_col) if sort else out
 
 
 def group_gini(ds, col: str, group_col: str, sort: bool = True):
@@ -1260,8 +1257,9 @@ def group_gini(ds, col: str, group_col: str, sort: bool = True):
     (:func:`value_histogram`, the bounded-distinct contract), Σ|xi−xj| =
     2·Σ_j c_j·(v_j·N_{<j} − S_{<j}) with the :func:`below` prefix
     counts/sums — one vectorized pass over the COLLAPSED (group, value)
-    table for all groups, never O(n²).  Only distinct pairs shuffle.
-    Returns ``(group, n, sum_v, gini_num)``, all int64.
+    table for all groups, never O(n²).  Only distinct pairs leave the map
+    tasks.  Returns ``(group, n, sum_v, gini_num)``, all int64, built on the
+    driver in group order — sorted whatever ``sort`` says.
     """
     import ray.data
 
@@ -1269,7 +1267,7 @@ def group_gini(ds, col: str, group_col: str, sort: bool = True):
     v = v.astype(np.int64)
     cv = c * v
     gnum = 2 * np.add.reduceat(c * (v * below(c, starts) - below(cv, starts)), starts)
-    out = ray.data.from_arrow(
+    return ray.data.from_arrow(
         pa.table(
             {
                 group_col: pa.array(groups),
@@ -1279,7 +1277,6 @@ def group_gini(ds, col: str, group_col: str, sort: bool = True):
             }
         )
     )
-    return out.sort(group_col) if sort else out
 
 
 def group_rank_transform(ds, col: str, group_col: str, id_col: str = "doc_id", sort: bool = True):
@@ -1291,7 +1288,8 @@ def group_rank_transform(ds, col: str, group_col: str, id_col: str = "doc_id", s
     (bounded-distinct contract); :func:`below` turns it into per-group
     sorted (values, cumulative-below) segments, broadcast once; each batch
     gathers per group present in the batch (loop over groups, vectorized
-    within) — rows never shuffle.
+    within) — rows never shuffle.  A row with a null value or a null group
+    gets a null rank.
     """
     import ray
 
@@ -1301,14 +1299,15 @@ def group_rank_transform(ds, col: str, group_col: str, id_col: str = "doc_id", s
 
     def gather(b: pa.Table) -> pa.Table:
         seg, vals, bel = ray.get(ref)
+        ok = _valid(b, [group_col, col])
         g = b.column(group_col).to_pandas().to_numpy()
         v = b.column(col).to_numpy(zero_copy_only=False)
         out = np.zeros(len(v), dtype=np.int64)
-        for gv in pd.unique(g):  # groups per batch, not rows
-            m = g == gv
+        for gv in pd.unique(g[ok]):  # groups per batch, not rows
+            m = ok & (g == gv)
             s, e = seg[gv]
             out[m] = bel[s + np.searchsorted(vals[s:e], v[m])]
-        return b.select([id_col, group_col, col]).append_column("rank_lt", pa.array(out))
+        return b.select([id_col, group_col, col]).append_column("rank_lt", pa.array(out, mask=~ok))
 
     out = ds.map_batches(gather, batch_format="pyarrow")
     return out.sort(id_col) if sort else out

@@ -32,7 +32,7 @@ from ..geom.cells import Grid, encode_cells
 from ..geom.polyio import PolygonLayer
 from ..geom.projection import accuracy_to_cell_size
 from ..state.bundle import PolygonBundle
-from ..util import worker_memo
+from ..util import keyed_fold, worker_memo
 
 
 def _tile_of_points(x: np.ndarray, y: np.ndarray, tile_res: int) -> np.ndarray:
@@ -153,10 +153,5 @@ def aggregate_by_polygon_sharded(
         return pa.table({"poly_id": touched.astype(np.int32), "count": counts[touched]})
 
     partials = points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
-    from ..util import streaming_group_sum
-
-    # streaming O(npolys) driver reduce (keys emitted in ascending order)
-    red = streaming_group_sum(partials, "poly_id", ["count"], int_cols={"count"})
-    from ray.data import from_pandas
-
-    return from_pandas(red)
+    # O(npolys) driver fold, keys in ascending order
+    return ray.data.from_arrow(keyed_fold(partials, "poly_id", {"count": ("count", "sum")}))

@@ -11,8 +11,8 @@ Two mobility primitives every geospatial event pipeline ships:
   per partition, no per-key dispatch.
 * :func:`od_matrix` — the origin-destination flow matrix: transitions
   between grid cells, ``(cell_from, cell_to, n)``.  The per-partition step
-  pass collapses straight to unique cell pairs, so the second (tiny)
-  exchange carries collapsed flow keys, never raw steps.
+  pass collapses straight to unique cell pairs, which fold on the driver
+  (:func:`~rasterflow.util.keyed_fold`) — raw steps never leave their task.
 
 Partitioning assumption (shared with the window family): one user's events
 fit in one partition task — a 10^9-event user is the sessionize-style
@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..geom.cells import Grid
-from ..util import coalesce_small, grouped_aggregate, shuffle_parts
+from ..util import coalesce_small, grouped_aggregate, keyed_fold, shuffle_parts
 
 
 def _with_pk(ds, key: str, cols: list[str], num_partitions: int):
@@ -221,32 +221,25 @@ def home_cells(
 ):
     """Modal ("home") grid cell per user — the anchor-location primitive of
     mobility analysis: the cell where each user generated the most events,
-    ties to the lowest cell id.  Per-batch (user, cell) count collapse, one
-    collapsed-key exchange, then the existing two-stage top-k-per-group with
-    k=1 — raw events shuffle zero times.  Returns ``(user_id, cell_id, n)``.
+    ties to the lowest cell id.  The (user, cell) counts fold on the driver
+    (:func:`~rasterflow.util.keyed_fold`, no exchange), where one sort by
+    (user, n desc, cell) picks each user's first row — raw events shuffle
+    zero times.  Returns ``(user_id, cell_id, n)`` sorted by user.
     """
-    import pandas as pd
+    import ray.data
 
-    from .sampling import top_k_per_group
-
-    empty = pa.schema([(key, pa.int64()), ("cell_id", pa.int64()), ("n", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         lin, valid = grid.locate_linear(
             batch.column("x").to_numpy(zero_copy_only=False),
             batch.column("y").to_numpy(zero_copy_only=False),
         )
-        u = batch.column(key).to_numpy(zero_copy_only=False)[valid]
-        if len(u) == 0:
-            return empty.empty_table()
-        df = pd.DataFrame({key: u, "cell_id": lin[valid]})
-        out = df.groupby([key, "cell_id"], as_index=False, sort=False).size()
-        return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
+        return pa.table({key: batch.column(key).filter(pa.array(valid)), "cell_id": lin[valid]})
 
-    partials = coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.25)
-    agg = grouped_aggregate(partials, [key, "cell_id"], {"n": ("n", "sum")})
-    # top-1 by (n desc, cell_id asc): argmax with deterministic tie
-    return top_k_per_group(agg, key, "n", 1, id_col="cell_id")
+    cells_ds = points_ds.map_batches(cells, batch_format="pyarrow")
+    t = keyed_fold(cells_ds, [key, "cell_id"], {"n": ("cell_id", "count")}).sort_by([(key, "ascending"), ("n", "descending"), ("cell_id", "ascending")])
+    u = t.column(key).to_numpy()
+    first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1]))) if len(u) else np.zeros(0, np.int64)
+    return ray.data.from_arrow(t.take(pa.array(first)))
 
 
 def value_by_home_cell(
@@ -307,7 +300,11 @@ def od_matrix(
     """Origin-destination cell flow matrix ``(cell_from, cell_to, n)``.
 
     Steps whose either endpoint falls outside the grid are dropped (canvas
-    clip, same rule as the histogram family)."""
+    clip, same rule as the histogram family).  One exchange partitions the
+    events by user; the per-partition flow counts fold on the driver, sorted
+    by (cell_from, cell_to)."""
+    import ray.data
+
     if num_partitions is None:
         num_partitions = shuffle_parts(1.0)
     empty = pd.DataFrame(
@@ -339,7 +336,4 @@ def od_matrix(
 
     withpk = _with_pk(events_ds, key, [id_col, key, ts_col, "x", "y"], num_partitions)
     partials = withpk.groupby("_pk").map_groups(per_partition, batch_format="pandas")
-    out = grouped_aggregate(
-        coalesce_small(partials, 0.25), ["cell_from", "cell_to"], {"n": ("n", "sum")}
-    )
-    return out.sort(["cell_from", "cell_to"]) if sort else out
+    return ray.data.from_arrow(keyed_fold(partials, ["cell_from", "cell_to"], {"n": ("n", "sum")}))

@@ -95,57 +95,82 @@ def grouped_aggregate(
     return withpk.groupby("_pk").map_groups(reduce, batch_format="pandas")
 
 
-def streaming_group_sum(
-    ds,
-    key: str,
-    cols: list[str],
-    int_cols: set[str] | frozenset[str] = frozenset(),
-    key_dtype=np.int32,
-):
-    """Driver-side group-sum over a partials Dataset with **O(#keys) memory**.
+#: bytes :func:`keyed_fold` may hold on the driver: the folded result plus
+#: the batch being folded into it.  Past it the keys are not small enough to
+#: fold on the driver; the call raises and names the exchange instead.
+FOLD_BUDGET_BYTES = 256 << 20
 
-    Consumes the stream batch-by-batch (``iter_batches`` — no full
-    materialization) and reduces into dense per-key accumulators, so the
-    driver holds ``#distinct keys`` floats regardless of how many partial
-    blocks the join stage emitted.  This keeps the measured perf win of the
-    driver reduce (the streaming executor otherwise starves the map stage
-    behind a long reduce chain at low CPU counts) without the round-1 scale
-    ceiling of ``to_pandas()`` on npolys × n_batches rows.
+#: how each decomposable aggregate's partials combine
+_FOLD = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
-    Keys must be small non-negative ints (polygon ids).  ``int_cols`` are cast
-    back to int64 on output (counts stay exact: float64 accumulation is exact
-    below 2^53, far above any per-polygon count at 100 TB).
 
-    Returns ``DataFrame[key, *cols]`` sorted by key.
+def _group(t: pa.Table, keys: list[str], aggs: dict[str, tuple[str, str]]) -> pa.Table:
+    """One Arrow ``group_by`` of ``t``: ``keys`` then one column per
+    ``aggs`` entry ``{out_col: (in_col, fn)}``.  Sums of an all-null group
+    are 0, as in pandas."""
+    import pyarrow.compute as pc
+
+    pairs = list(dict.fromkeys(aggs.values()))
+    zero = pc.ScalarAggregateOptions(min_count=0)
+    g = t.group_by(keys, use_threads=False).aggregate(
+        [(c, fn, zero) if fn == "sum" else (c, fn) for c, fn in pairs]
+    )
+    cols = [g.column(k) for k in keys] + [g.column(f"{c}_{fn}") for c, fn in aggs.values()]
+    return pa.table(cols, names=keys + list(aggs))
+
+
+def keyed_fold(ds, keys: list[str] | str, aggs: dict[str, tuple[str, str]]) -> pa.Table:
+    """Grouped decomposable aggregates of ``ds``, folded on the driver.
+
+    ``aggs``: {out_col: (in_col, fn)} with fn in sum|count|min|max.  Each
+    block is combined in its own map task (one Arrow ``group_by``, rows with
+    a null or NaN key dropped, as pandas ``groupby`` drops them), so a hot
+    key collapses before anything leaves the map; the driver streams the
+    partials in (``iter_batches``) and folds each into the running result —
+    no exchange.  The driver holds one row per distinct key plus one batch;
+    past :data:`FOLD_BUDGET_BYTES` this raises, and unbounded keys (content
+    hashes, row ids) belong in :func:`grouped_aggregate`'s exchange.
+    Integer aggregates do not depend on block count or arrival order; float
+    sums add in arrival order.
+
+    Returns one ``pa.Table`` (``keys``, then ``aggs``) sorted by ``keys``.
     """
-    size = 0
-    accs: dict[str, np.ndarray] = {c: np.zeros(0) for c in cols}
-    present = np.zeros(0, dtype=bool)
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        pid = b.column(key).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        if len(pid) == 0:
-            continue
-        m = int(pid.max()) + 1
-        if m > size:
-            new = max(m, 2 * size)
-            grown = np.zeros(new, dtype=bool)
-            grown[:size] = present
-            present = grown
-            for c in cols:
-                a = np.zeros(new)
-                a[:size] = accs[c]
-                accs[c] = a
-            size = new
-        present[pid] = True
-        for c in cols:
-            v = b.column(c).to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-            accs[c] += np.bincount(pid, weights=v, minlength=size)
-    idx = np.flatnonzero(present)
-    data: dict[str, np.ndarray] = {key: idx.astype(key_dtype)}
-    for c in cols:
-        a = accs[c][idx]
-        data[c] = a.astype(np.int64) if c in int_cols else a
-    return pd.DataFrame(data)
+    import pyarrow.compute as pc
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    fold = {out: (out, _FOLD[fn]) for out, (_, fn) in aggs.items()}
+
+    def partial(t: pa.Table) -> pa.Table:
+        drop = None
+        for k in keys:
+            n = pc.is_null(t.column(k), nan_is_null=True)
+            drop = n if drop is None else pc.or_(drop, n)
+        if pc.any(drop).as_py():
+            t = t.filter(pc.invert(drop))
+        return _group(t, keys, aggs)
+
+    acc = None
+    for b in ds.map_batches(partial, batch_format="pyarrow", batch_size=None).iter_batches(
+        batch_format="pyarrow", batch_size=None
+    ):
+        held = b.nbytes + (0 if acc is None else acc.nbytes)
+        if held > FOLD_BUDGET_BYTES:
+            raise MemoryError(
+                f"keyed_fold over {keys}: the driver fold would hold {held} bytes, over "
+                f"FOLD_BUDGET_BYTES={FOLD_BUDGET_BYTES}; reduce these keys with "
+                "rasterflow.util.grouped_aggregate, which runs the fold in an exchange"
+            )
+        if acc is not None:
+            b = pa.concat_tables([acc, b], promote_options="permissive")
+        acc = _group(b, keys, fold)
+    if acc is None:  # every block was empty: type the result from the input's schema
+        s = ds.schema()
+        types = dict(zip(s.names, s.types)) if s is not None else {}
+        empty = {c: pa.array([], t if isinstance(t, pa.DataType) else pa.null()) for c, t in types.items()}
+        for c in keys + [c for c, _ in aggs.values()]:
+            empty.setdefault(c, pa.array([], pa.null()))
+        acc = partial(pa.table(empty))
+    return acc.sort_by([(k, "ascending") for k in keys])
 
 
 def det_topk_indices(vals: np.ndarray, ids: np.ndarray, k: int, descending: bool = False) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -394,3 +395,57 @@ def test_group_rank_transform_matches_brute(ray_session):
         v = sub["n_chars"].to_numpy()
         exp[sub.index.to_numpy()] = np.array([(v < x).sum() for x in v])
     assert (got.sort_values("doc_id")["rank_lt"].to_numpy() == exp).all()
+
+
+def test_rank_transform_null_value_gets_null_rank(ray_session):
+    import ray.data
+
+    from rasterflow.pipelines.sampling import rank_transform
+
+    t = pa.table({"doc_id": pa.array([1, 2, 3]), "n_chars": pa.array([5, None, 9], pa.int64())})
+    got = rank_transform(ray.data.from_arrow(t), "n_chars").to_pandas()
+    assert got["doc_id"].tolist() == [1, 2, 3]
+    assert got["rank_lt"].isna().tolist() == [False, True, False]
+    assert got["rank_lt"].iloc[[0, 2]].tolist() == [0, 1]
+
+
+def test_group_rank_transform_null_group_or_value_gets_null_rank(ray_session):
+    import ray.data
+
+    from rasterflow.pipelines.sampling import group_rank_transform
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([1, 2, 3]),
+            "lang": pa.array(["en", None, "en"]),
+            "n_chars": pa.array([5, 7, 9], pa.int64()),
+        }
+    )
+    got = group_rank_transform(ray.data.from_arrow(t), "n_chars", "lang").to_pandas()
+    assert got["rank_lt"].isna().tolist() == [False, True, False]
+    assert got["rank_lt"].iloc[[0, 2]].tolist() == [0, 1]
+    t = t.set_column(2, "n_chars", pa.array([5, None, 9], pa.int64())).set_column(
+        1, "lang", pa.array(["en", "en", "en"])
+    )
+    got = group_rank_transform(ray.data.from_arrow(t), "n_chars", "lang").to_pandas()
+    assert got["rank_lt"].isna().tolist() == [False, True, False]
+    assert got["rank_lt"].iloc[[0, 2]].tolist() == [0, 1]
+
+
+def test_group_gini_and_mad_sorted_without_sort(ray_session, monkeypatch):
+    """Both build their one-block result on the driver in group order, so
+    ``sort=True`` needs no Sort all-to-all."""
+    import ray.data
+
+    from rasterflow.pipelines.sampling import group_gini, group_mad
+
+    def no_sort(self, *a, **k):
+        raise AssertionError("Dataset.sort called")
+
+    rng = np.random.default_rng(5)
+    df = pd.DataFrame({"lang": rng.choice(["d", "b", "a", "c"], 400), "n_chars": rng.integers(0, 50, 400)})
+    ds = ray.data.from_pandas(df).repartition(3)
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
+    for fn in (group_gini, group_mad):
+        got = fn(ds, "n_chars", "lang", sort=True).to_pandas()
+        assert got["lang"].tolist() == ["a", "b", "c", "d"]

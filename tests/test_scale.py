@@ -139,11 +139,12 @@ def test_pipeline_survives_task_failures(ray_session, tmp_path):
     assert dict(zip(out["poly_id"], out["count"])) == {0: n}
 
 
-def test_streaming_group_sum_unit(ray_session):
-    """Dense streaming reduce: multi-batch growth, int/float cols, ordering."""
+def test_keyed_fold_poly_sums_unit(ray_session):
+    """Driver fold of per-polygon partials: several blocks, int/float cols,
+    ordering, dtypes."""
     import ray.data
 
-    from rasterflow.util import streaming_group_sum
+    from rasterflow.util import keyed_fold
 
     t1 = pa.table({"poly_id": pa.array([3, 1], type=pa.int32()),
                    "count": pa.array([2, 5], type=pa.int64()),
@@ -152,7 +153,7 @@ def test_streaming_group_sum_unit(ray_session):
                    "count": pa.array([7, 1], type=pa.int64()),
                    "sum": pa.array([0.25, 4.0])})
     ds = ray.data.from_arrow([t1, t2])
-    df = streaming_group_sum(ds, "poly_id", ["count", "sum"], int_cols={"count"})
+    df = keyed_fold(ds, "poly_id", {"count": ("count", "sum"), "sum": ("sum", "sum")}).to_pandas()
     assert df["poly_id"].tolist() == [1, 3, 100]
     assert df["count"].tolist() == [5, 3, 7]
     assert df["count"].dtype == np.int64
