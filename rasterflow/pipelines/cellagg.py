@@ -37,7 +37,7 @@ def _cell_counts(points_ds, grid: Grid, value_col: str | None = None) -> pa.Tabl
     return keyed_fold(points_ds.map_batches(cells, batch_format="pyarrow"), "cell_id", aggs)
 
 
-def cell_histogram_grid(points_ds, grid: Grid, value_col: str | None = None, sort: bool = True):
+def cell_histogram_grid(points_ds, grid: Grid, value_col: str | None = None):
     """Counts (and optional sums) per local-grid cell (linearized ids),
     always sorted by cell id."""
     import ray.data
@@ -59,7 +59,7 @@ def extract_raster_at_points(points_ds, grid: Grid, out_col: str = "density"):
 
     from .cellagg import cell_histogram_grid  # self-import safe at runtime
 
-    hist = cell_histogram_grid(points_ds, grid, sort=False).to_pandas()
+    hist = cell_histogram_grid(points_ds, grid).to_pandas()
     dense = np.zeros(grid.ncells, dtype=np.int64)
     dense[hist["cell_id"].to_numpy()] = hist["n"].to_numpy()
     ref = ray.put(dense) if ray.is_initialized() else dense
@@ -83,11 +83,11 @@ def coverage_gaps(points_ds, grid: Grid, sort: bool = True):
     The lit-cell set collapses to a canvas-sized bitmap broadcast once via
     ``ray.put``; the canvas itself streams as ``ray.data.range`` blocks and
     each block tests its cells' neighborhoods against the bitmap with one
-    vectorized gather per stencil offset — no shuffle at all after the
-    histogram's own exchange.  Returns ``(cell_id,)`` sorted."""
+    vectorized gather per stencil offset — no shuffle before the final
+    sort.  Returns ``(cell_id,)`` sorted."""
     import ray
 
-    hist = cell_histogram_grid(points_ds, grid, sort=False).to_pandas()
+    hist = cell_histogram_grid(points_ds, grid).to_pandas()
     lit = np.zeros(grid.ncells, dtype=bool)
     lit[hist["cell_id"].to_numpy()] = True
     ref = ray.put(lit) if ray.is_initialized() else lit
@@ -139,7 +139,7 @@ def aggregate_catalog(points_ds, catalog: dict, how: str = "hybrid", **kwargs):
     return {name: aggregate_by_polygon(points_ds, layer, how=how, **kwargs) for name, layer in catalog.items()}
 
 
-def cell_histogram_global(points_ds, res: int, x_col: str = "x", y_col: str = "y", sort: bool = True):
+def cell_histogram_global(points_ds, res: int, x_col: str = "x", y_col: str = "y"):
     """Counts per global hierarchical cell id at resolution ``res`` (M7/T5
     analogue — the engine's tile-assignment histogram), always sorted by
     cell id."""
@@ -261,7 +261,7 @@ def hotspot_regions(points_ds, grid: Grid, min_count: int = 5, num_partitions: i
         num_partitions = shuffle_parts(0.25)
     nx = np.int64(grid.nx)
 
-    hist = cell_histogram_grid(points_ds, grid, sort=False)
+    hist = cell_histogram_grid(points_ds, grid)
 
     def hot_only(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

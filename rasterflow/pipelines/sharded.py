@@ -121,7 +121,6 @@ def aggregate_by_polygon_sharded(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     batch_size: int | None = 65536,
-    sort: bool = True,
 ):
     """Per-polygon counts via tile-sharded bundles (exact ≡ unsharded)."""
     from .joins import SpatialJoinAgg

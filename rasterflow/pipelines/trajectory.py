@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..geom.cells import Grid
-from ..util import coalesce_small, grouped_aggregate, keyed_fold, shuffle_parts
+from ..util import keyed_fold, shuffle_parts
 
 
 def _with_pk(ds, key: str, cols: list[str], num_partitions: int):
@@ -217,7 +217,6 @@ def home_cells(
     points_ds,
     grid: Grid,
     key: str = "user_id",
-    sort: bool = True,
 ):
     """Modal ("home") grid cell per user — the anchor-location primitive of
     mobility analysis: the cell where each user generated the most events,
@@ -236,7 +235,8 @@ def home_cells(
         return pa.table({key: batch.column(key).filter(pa.array(valid)), "cell_id": lin[valid]})
 
     cells_ds = points_ds.map_batches(cells, batch_format="pyarrow")
-    t = keyed_fold(cells_ds, [key, "cell_id"], {"n": ("cell_id", "count")}).sort_by([(key, "ascending"), ("n", "descending"), ("cell_id", "ascending")])
+    t = keyed_fold(cells_ds, [key, "cell_id"], {"n": ("cell_id", "count")})
+    t = t.sort_by([(key, "ascending"), ("n", "descending"), ("cell_id", "ascending")])
     u = t.column(key).to_numpy()
     first = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1]))) if len(u) else np.zeros(0, np.int64)
     return ray.data.from_arrow(t.take(pa.array(first)))
@@ -295,7 +295,6 @@ def od_matrix(
     ts_col: str = "ts",
     id_col: str = "event_id",
     num_partitions: int | None = None,
-    sort: bool = True,
 ):
     """Origin-destination cell flow matrix ``(cell_from, cell_to, n)``.
 

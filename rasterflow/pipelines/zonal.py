@@ -704,7 +704,7 @@ def choropleth_classes(
     from .cellagg import cell_histogram_grid
     from .sampling import column_quantiles_select
 
-    hist = cell_histogram_grid(points_ds, grid, sort=False).materialize()
+    hist = cell_histogram_grid(points_ds, grid).materialize()
     th = (
         column_quantiles_select(hist, "n", qs=qs)
         .to_pandas()["value"]

@@ -77,27 +77,37 @@ def grouped_aggregate(
     ``aggs``: {out_col: (in_col, fn)} with fn in sum|min|max|count|first.
     ``num_partitions=None`` derives the count from ``shuffle_parts(weight)``.
     """
-    if num_partitions is None:
-        num_partitions = shuffle_parts(weight)
     keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def addpk(t: pa.Table) -> pa.Table:
-        df = t.select(keys).to_pandas()
-        pk = (_hash_cols(df, keys) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_pk", pa.array(pk))
 
     def reduce(g: pd.DataFrame) -> pd.DataFrame:
         spec = {out: pd.NamedAgg(column=col, aggfunc=fn) for out, (col, fn) in aggs.items()}
         out = g.groupby(keys, as_index=False, sort=False).agg(**spec)
         return out
 
-    withpk = ds.map_batches(addpk, batch_format="pyarrow")
-    return withpk.groupby("_pk").map_groups(reduce, batch_format="pandas")
+    groups = _hash_groups(ds, keys, num_partitions or shuffle_parts(weight))
+    return groups.map_groups(reduce, batch_format="pandas")
+
+
+def _hash_groups(ds, keys: list[str], num_partitions: int):
+    """``ds`` grouped on a hash of ``keys`` into ``num_partitions`` groups:
+    the exchange of :func:`grouped_aggregate`.  Null integer keys hash as 0,
+    so that a block holding one does not turn the column to float and send
+    its other keys to other partitions than the same keys in other blocks."""
+    import pyarrow.compute as pc
+
+    def addpk(t: pa.Table) -> pa.Table:
+        cols = [t.column(k) for k in keys]
+        cols = [pc.fill_null(c, 0) if pa.types.is_integer(c.type) else c for c in cols]
+        df = pa.table(cols, names=keys).to_pandas()
+        pk = (_hash_cols(df, keys) % np.uint64(num_partitions)).astype(np.int32)
+        return t.append_column("_pk", pa.array(pk))
+
+    return ds.map_batches(addpk, batch_format="pyarrow").groupby("_pk")
 
 
 #: bytes :func:`keyed_fold` may hold on the driver: the folded result plus
-#: the batch being folded into it.  Past it the keys are not small enough to
-#: fold on the driver; the call raises and names the exchange instead.
+#: the partials waiting to be folded into it.  Past it the keys are too many
+#: to fold on the driver and the fold moves to an exchange.
 FOLD_BUDGET_BYTES = 256 << 20
 
 #: how each decomposable aggregate's partials combine
@@ -126,16 +136,21 @@ def keyed_fold(ds, keys: list[str] | str, aggs: dict[str, tuple[str, str]]) -> p
     block is combined in its own map task (one Arrow ``group_by``, rows with
     a null or NaN key dropped, as pandas ``groupby`` drops them), so a hot
     key collapses before anything leaves the map; the driver streams the
-    partials in (``iter_batches``) and folds each into the running result —
-    no exchange.  The driver holds one row per distinct key plus one batch;
-    past :data:`FOLD_BUDGET_BYTES` this raises, and unbounded keys (content
-    hashes, row ids) belong in :func:`grouped_aggregate`'s exchange.
-    Integer aggregates do not depend on block count or arrival order; float
-    sums add in arrival order.
+    partials in (``iter_batches``) and folds them into the running result —
+    no exchange.  Arriving partials wait until they are as large as the
+    result, then one ``group_by`` folds them in, so each partial row is
+    regrouped O(1) times on average however many keys and blocks there are.
+    The driver holds one row per distinct key plus the waiting partials;
+    past :data:`FOLD_BUDGET_BYTES` the fold leaves the driver: what it holds
+    and the partials still to come go through :func:`grouped_aggregate`'s
+    hash exchange, each partition is folded by the same ``group_by``, and
+    only the result comes back.  Integer aggregates do not depend on block
+    count or arrival order; float sums add in arrival order.
 
     Returns one ``pa.Table`` (``keys``, then ``aggs``) sorted by ``keys``.
     """
     import pyarrow.compute as pc
+    import ray.data
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     fold = {out: (out, _FOLD[fn]) for out, (_, fn) in aggs.items()}
@@ -149,20 +164,39 @@ def keyed_fold(ds, keys: list[str] | str, aggs: dict[str, tuple[str, str]]) -> p
             t = t.filter(pc.invert(drop))
         return _group(t, keys, aggs)
 
-    acc = None
-    for b in ds.map_batches(partial, batch_format="pyarrow", batch_size=None).iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
-        held = b.nbytes + (0 if acc is None else acc.nbytes)
+    def merged(parts: list[pa.Table]) -> pa.Table:
+        if len(parts) == 1:  # the result so far, or one block's partial: already grouped
+            return parts[0]
+        return _group(pa.concat_tables(parts, promote_options="permissive"), keys, fold)
+
+    parts, held, acc_bytes = [], 0, 0  # the result so far, then the waiting partials
+    batches = iter(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None).iter_batches(
+            batch_format="pyarrow", batch_size=None
+        )
+    )
+    for b in batches:
+        parts.append(b)
+        held += b.nbytes
         if held > FOLD_BUDGET_BYTES:
-            raise MemoryError(
-                f"keyed_fold over {keys}: the driver fold would hold {held} bytes, over "
-                f"FOLD_BUDGET_BYTES={FOLD_BUDGET_BYTES}; reduce these keys with "
-                "rasterflow.util.grouped_aggregate, which runs the fold in an exchange"
-            )
-        if acc is not None:
-            b = pa.concat_tables([acc, b], promote_options="permissive")
-        acc = _group(b, keys, fold)
+            refs = []
+            for t in batches:  # the rest goes out in chunks of about the budget
+                parts.append(t)
+                held += t.nbytes
+                if held > FOLD_BUDGET_BYTES:
+                    refs.append(ray.put(pa.concat_tables(parts, promote_options="permissive")))
+                    parts, held = [], 0
+            refs += [ray.put(pa.concat_tables(parts, promote_options="permissive"))] if parts else []
+            groups = _hash_groups(ray.data.from_arrow_refs(refs), keys, shuffle_parts(1.0))
+            out = groups.map_groups(lambda g: _group(g, keys, fold), batch_format="pyarrow")
+            out = out.iter_batches(batch_format="pyarrow", batch_size=None)
+            acc = pa.concat_tables([t for t in out if t.num_rows])
+            break
+        if held >= 2 * acc_bytes:
+            parts = [merged(parts)]
+            held = acc_bytes = parts[0].nbytes
+    else:
+        acc = merged(parts) if parts else None
     if acc is None:  # every block was empty: type the result from the input's schema
         s = ds.schema()
         types = dict(zip(s.names, s.types)) if s is not None else {}

@@ -8,7 +8,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 AGGS = {
@@ -55,9 +55,12 @@ def _frame(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
 
 @settings(max_examples=20, deadline=None)
 @given(rows=_rows, keys=st.sampled_from([["k"], ["g"], ["g", "k"]]), nblocks=st.integers(1, 4))
+@example(rows=[(None, None, None, 0)] * 2 + [(1, None, None, 0)] * 2 + [(0, None, None, 0)], keys=["k"], nblocks=3)
 def test_keyed_fold_equals_grouped_aggregate(ray_session, rows, keys, nblocks):
     """Null values, null keys (dropped, as pandas ``groupby`` drops them),
-    int, string and two-column keys."""
+    int, string and two-column keys.  The explicit example puts key 1 in a
+    block with a null key and in one without: the exchange must still send
+    both to one partition."""
     import ray.data
 
     from rasterflow.util import grouped_aggregate, keyed_fold
@@ -108,15 +111,30 @@ def test_keyed_fold_empty_result_keeps_types(ray_session):
     assert got.num_rows == 0 and got.column_names == ["poly_id", "count"]
 
 
-def test_keyed_fold_budget_names_the_exchange(ray_session, monkeypatch):
+def test_keyed_fold_past_budget_uses_the_exchange(ray_session, monkeypatch):
+    """Past the budget the fold finishes in the hash exchange, with the same
+    rows and types as the driver fold."""
     import ray.data
 
     import rasterflow.util as util
 
-    ds = ray.data.from_arrow(pa.table({"k": np.arange(1000), "v": np.ones(1000, np.int64)}))
-    monkeypatch.setattr(util, "FOLD_BUDGET_BYTES", 1024)
-    with pytest.raises(MemoryError, match="grouped_aggregate"):
-        util.keyed_fold(ds, "k", {"v": ("v", "sum")})
+    rng = np.random.default_rng(3)
+    k = rng.integers(0, 400, 2000)
+    v = pa.array(np.where(k % 7 == 0, None, rng.integers(-50, 50, 2000)).tolist(), pa.int64())
+    t = pa.table({"k": k, "g": pa.array(np.char.mod("g%d", k % 3)), "v": v})
+    ds = ray.data.from_arrow(_blocks(t, 8))
+    ref = util.keyed_fold(ds, ["g", "k"], INT_AGGS)
+    groupbys = collections.Counter()
+    orig = ray.data.Dataset.groupby
+
+    def spy(self, *a, **kw):
+        groupbys["n"] += 1
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", spy)
+    monkeypatch.setattr(util, "FOLD_BUDGET_BYTES", 4096)
+    assert util.keyed_fold(ds, ["g", "k"], INT_AGGS).equals(ref)
+    assert groupbys["n"] == 1
 
 
 def test_fold_queries_run_no_exchange(ray_session, tmp_path, monkeypatch):
