@@ -36,6 +36,10 @@ from ..util import grouped_aggregate, keyed_fold, map_stage, worker_memo
 
 _STRATEGIES = ("raster", "index", "hybrid")
 
+#: rows per point-join batch: about 40 ms of kernel against 8-9 ms of Ray
+#: cost per task at one CPU, and 2M points still make 4 tasks for 4 CPUs
+JOIN_BATCH_ROWS = 1 << 19
+
 # §2.8 extension surface: new join techniques plug in by name — the analogue
 # of registering a GLFunction subclass in GLHandler::initFunctions
 # (join/GLHandler.cpp:157-186).  A strategy is a SpatialJoinAgg subclass
@@ -344,7 +348,7 @@ def aggregate_by_polygon(
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
     fixed_point: bool = False,
-    batch_size: int = 65536,
+    batch_size: int | None = JOIN_BATCH_ROWS,
     sort: bool = True,
     reduce: str = "driver",
     dtype=np.float64,
@@ -410,14 +414,13 @@ def spatial_join(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    batch_size: int = 65536,
 ):
     """Materialized join rows ``(id_col, poly_id [, keep_cols...])``."""
     if how not in _STRATEGIES:
         raise ValueError(f"how must be one of {_STRATEGIES}, got {how!r}")
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells)
     return map_stage(
-        points_ds, SpatialJoinRows, batch_size=batch_size,
+        points_ds, SpatialJoinRows, batch_size=JOIN_BATCH_ROWS,
         bundle=ref, how=how, id_col=id_col, keep_cols=tuple(keep_cols),
     )
 
@@ -428,7 +431,6 @@ def aggregate_with_bounds(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    batch_size: int = 65536,
 ):
     """J4: raster aggregate + guaranteed/estimated error bounds.
 
@@ -437,7 +439,7 @@ def aggregate_with_bounds(
     """
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells, area_fractions=True)
     # RasterBoundsAgg.__init__ sorts the outline key table: once per worker
-    partials = map_stage(points_ds, RasterBoundsAgg, batch_size=batch_size, bundle=ref)
+    partials = map_stage(points_ds, RasterBoundsAgg, batch_size=JOIN_BATCH_ROWS, bundle=ref)
     cols = ["count", "fp_all", "fn_all", "fp_est", "fn_est"]
     red = keyed_fold(partials, "poly_id", {c: (c, "sum") for c in cols})
     c = red.column("count").to_numpy(zero_copy_only=False).astype(np.float64)

@@ -423,8 +423,8 @@ class KnnCellRingIndex:
         self.cell = float(cell)
         self.num_shards = num_shards
         self.route_cell = float(route_cell if route_cell is not None else cell * 8.0)
-        narrow = points_ds.select_columns([id_col, "x", "y"])
-        refs = narrow.to_arrow_refs()
+        # materialized: to_arrow_refs on a lazy plan runs it again for the schema
+        refs = points_ds.select_columns([id_col, "x", "y"]).materialize().to_arrow_refs()
 
         # pass 1: histograms to the driver; per-row keys stay remote
         hist_refs, key_refs = [], []

@@ -120,10 +120,9 @@ def aggregate_by_polygon_sharded(
     how: str = "hybrid",
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
-    batch_size: int | None = 65536,
 ):
     """Per-polygon counts via tile-sharded bundles (exact ≡ unsharded)."""
-    from .joins import SpatialJoinAgg
+    from .joins import JOIN_BATCH_ROWS, SpatialJoinAgg
 
     tiles = build_tile_bundles(layer, tile_res, accuracy_m=accuracy_m, cell_size=cell_size)
     npolys = layer.npolys
@@ -151,6 +150,6 @@ def aggregate_by_polygon_sharded(
         touched = np.flatnonzero(counts)
         return pa.table({"poly_id": touched.astype(np.int32), "count": counts[touched]})
 
-    partials = points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    partials = points_ds.map_batches(fn, batch_format="pyarrow", batch_size=JOIN_BATCH_ROWS)
     # O(npolys) driver fold, keys in ascending order
     return ray.data.from_arrow(keyed_fold(partials, "poly_id", {"count": ("count", "sum")}))

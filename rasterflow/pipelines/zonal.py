@@ -34,7 +34,7 @@ import pyarrow as pa
 
 from ..geom.cells import Grid
 from ..util import coalesce_small, grouped_aggregate, map_stage, worker_memo
-from .joins import SpatialJoinAgg, _bundle_ref
+from .joins import JOIN_BATCH_ROWS, SpatialJoinAgg, _bundle_ref
 
 _ZONAL_SCHEMA = pa.schema(
     [
@@ -92,7 +92,6 @@ def zonal_stats(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    batch_size: int = 65536,
     sort: bool = True,
 ):
     """Per-polygon ``count / sum / min / max`` of ``value_col``.
@@ -102,7 +101,7 @@ def zonal_stats(
     """
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, max_cover_cells)
     partials = map_stage(
-        points_ds, SpatialZonalStats, batch_size=batch_size, bundle=ref, how=how, value_col=value_col
+        points_ds, SpatialZonalStats, batch_size=JOIN_BATCH_ROWS, bundle=ref, how=how, value_col=value_col
     )
     out = grouped_aggregate(
         coalesce_small(partials, 0.25),
@@ -124,7 +123,6 @@ def spatial_anti_join(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    batch_size: int = 65536,
 ):
     """Rows contained in NO polygon of the layer (GIS "erase" / coverage
     complement).  Points outside the layer's canvas are uncovered by
@@ -147,7 +145,7 @@ def spatial_anti_join(
             covered[vidx[np.unique(pts)]] = True
         return batch.filter(pa.array(~covered))
 
-    return points_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    return points_ds.map_batches(fn, batch_format="pyarrow", batch_size=JOIN_BATCH_ROWS)
 
 
 def nearest_site_counts(points_ds, sites, batch_size: int = 65536, sort: bool = True):
@@ -839,7 +837,6 @@ def poly_group_entropy(
     how: str = "index",
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
-    batch_size: int = 65536,
     sort: bool = True,
 ):
     """Per-ZONE Shannon entropy of a categorical mix — the polygon-keyed
@@ -879,7 +876,7 @@ def poly_group_entropy(
         return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
 
     out = _entropy_by_key(
-        points_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size),
+        points_ds.map_batches(partial, batch_format="pyarrow", batch_size=JOIN_BATCH_ROWS),
         "poly_id",
         len(groups),
     )

@@ -151,6 +151,7 @@ def keyed_fold(ds, keys: list[str] | str, aggs: dict[str, tuple[str, str]]) -> p
     """
     import pyarrow.compute as pc
     import ray.data
+    from ray.data.dataset import MaterializedDataset
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     fold = {out: (out, _FOLD[fn]) for out, (_, fn) in aggs.items()}
@@ -197,8 +198,9 @@ def keyed_fold(ds, keys: list[str] | str, aggs: dict[str, tuple[str, str]]) -> p
             held = acc_bytes = parts[0].nbytes
     else:
         acc = merged(parts) if parts else None
-    if acc is None:  # every block was empty: type the result from the input's schema
-        s = ds.schema()
+    if acc is None:  # every block was empty: type the result from the input's schema,
+        # fetched only from a materialized input (a lazy one would run again)
+        s = ds.schema(fetch_if_missing=isinstance(ds, MaterializedDataset))
         types = dict(zip(s.names, s.types)) if s is not None else {}
         empty = {c: pa.array([], t if isinstance(t, pa.DataType) else pa.null()) for c, t in types.items()}
         for c in keys + [c for c, _ in aggs.values()]:

@@ -163,3 +163,24 @@ def test_fold_queries_run_no_exchange(ray_session, tmp_path, monkeypatch):
         assert (calls["repartition"], calls["groupby"]) == (0, groupbys), q
         if not groupbys:  # od_matrix's map_groups sorts inside its groupby
             assert calls["sort"] == 0, q
+
+
+def test_keyed_fold_empty_result_runs_the_input_once(ray_session, tmp_path):
+    """A map that keeps no rows leaves every partial empty; the result is
+    typed without running the input plan a second time."""
+    import ray.data
+
+    from rasterflow.util import keyed_fold
+
+    calls = tmp_path / "calls"
+
+    def keep_none(t: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write("x\n")
+        return t.slice(0, 0)
+
+    t = pa.table({"poly_id": pa.array([1, 2, 3], pa.int32()), "count": pa.array([1, 1, 1], pa.int64())})
+    ds = ray.data.from_arrow(t).map_batches(keep_none, batch_format="pyarrow")
+    got = keyed_fold(ds, "poly_id", {"count": ("count", "sum")})
+    assert got.num_rows == 0 and got.column_names == ["poly_id", "count"]
+    assert calls.read_text().count("x") == 1

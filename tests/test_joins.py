@@ -262,3 +262,42 @@ def test_f32_plane_matches_f64_closely(points_and_layer):
     da = to_dense(a, layer.npolys)
     db = to_dense(b, layer.npolys)
     assert np.abs(da - db).sum() <= max(2, 0.001 * da.sum()), (da - db)
+
+
+def test_joins_batch_invariant(ray_session, monkeypatch):
+    """Hybrid counts, hybrid rows and zonal stats equal the index join at
+    ``JOIN_BATCH_ROWS``, at 4,096 rows and at one batch per block, on 16
+    read blocks of 2,500 rows: a batch of 4,096 rows spans two blocks and
+    one of ``JOIN_BATCH_ROWS`` spans all of them."""
+    import ray.data
+
+    from rasterflow.geom.projection import project_points
+    from rasterflow.pipelines import joins, zonal
+    from rasterflow.pipelines.joins import JOIN_BATCH_ROWS, SpatialJoinAgg, SpatialJoinRows
+    from rasterflow.pipelines.zonal import SpatialZonalStats, zonal_stats
+
+    ids = np.arange(40_000, dtype=np.int64)
+    lat, lon = geo_from_id(ids)
+    x, y, _ = project_points(lat, lon)
+    t = pa.table({"id": ids, "x": x, "y": y, "v": (ids % 97).astype(np.float64)})
+    pts = ray.data.from_arrow([t.slice(k * 2500, 2500) for k in range(16)]).materialize()
+    assert pts.num_blocks() == 16
+    bundle = build_bundle(neigh_like_layer(40, seed=42), accuracy_m=200.0)
+
+    counts = SpatialJoinAgg(bundle, how="index")(t).to_pandas()
+    rows = SpatialJoinRows(bundle, how="index", id_col="id")(t).to_pandas()
+    stats = SpatialZonalStats(bundle, how="index", value_col="v")(t).to_pandas()
+    pairs = sorted(zip(rows["id"], rows["poly_id"]))
+    assert len(counts) > 10 and len(pairs) > 1000
+
+    for batch in (JOIN_BATCH_ROWS, 4096, None):
+        monkeypatch.setattr(joins, "JOIN_BATCH_ROWS", batch)
+        monkeypatch.setattr(zonal, "JOIN_BATCH_ROWS", batch)
+        got = aggregate_by_polygon(pts, bundle, how="hybrid", batch_size=batch).to_pandas()
+        np.testing.assert_array_equal(got["poly_id"], counts["poly_id"])
+        np.testing.assert_array_equal(got["count"], counts["count"])
+        got = spatial_join(pts, bundle, how="hybrid", id_col="id").to_pandas()
+        assert sorted(zip(got["id"], got["poly_id"])) == pairs, batch
+        got = zonal_stats(pts, bundle, value_col="v", how="hybrid").to_pandas()
+        for c in ("poly_id", "count", "sum", "min", "max"):
+            np.testing.assert_array_equal(got[c], stats[c], err_msg=f"{c} at batch {batch}")

@@ -102,3 +102,27 @@ def test_knn_cell_ring_spatial_routing(pts):
         assert list(g["url"]) == exp[qi][0]
     assert set(routing[0]).isdisjoint(routing[1]), routing
     assert all(len(v) < 4 for v in routing), routing
+
+
+def test_knn_index_reads_its_input_once(ray_session, tmp_path):
+    """Building the cell-ring index runs the points plan once."""
+    import pyarrow as pa
+    import ray.data
+
+    from rasterflow.pipelines.knn import KnnCellRingIndex
+
+    calls = tmp_path / "calls"
+
+    def counted(t: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write("x\n")
+        return t
+
+    rng = np.random.default_rng(5)
+    t = pa.table({"doc_id": np.arange(500), "x": rng.uniform(0, 10, 500), "y": rng.uniform(0, 10, 500)})
+    ds = ray.data.from_arrow(t).map_batches(counted, batch_format="pyarrow")
+    idx = KnnCellRingIndex(ds, cell=1.0, id_col="doc_id", num_shards=2)
+    assert calls.read_text().count("x") == 1
+    got = idx.query(np.array([[5.0, 5.0]]), 3).to_pandas()
+    exp = knn_brute(ray.data.from_arrow(t), np.array([[5.0, 5.0]]), 3, id_col="doc_id").to_pandas()
+    assert got["doc_id"].tolist() == exp["doc_id"].tolist()
