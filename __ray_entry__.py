@@ -119,26 +119,14 @@ def _q_zonal_minmax(sf_dir: str):
 def _q_uncovered_by_lang(sf_dir: str):
     """Coverage complement (GIS "erase"): documents whose point lies in NO
     oracle polygon, counted per lang.  The anti-join is a streaming filter
-    (no shuffle); counts collapse per batch before the tiny lang exchange."""
+    (no shuffle); the uncovered rows fold per lang on the driver."""
     from rasterflow.pipelines.zonal import spatial_anti_join
-    from rasterflow.util import coalesce_small, grouped_aggregate
+    from rasterflow.util import keyed_fold
 
     anti = spatial_anti_join(
         documents_points(sf_dir), oracle_poly_layer(), how="index", cell_size=0.05
     )
-
-    def part(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        vc = pc.value_counts(b.column("lang"))
-        return pa.table(
-            {"lang": vc.field("values"), "n_uncovered": vc.field("counts")}
-        )
-
-    partials = anti.map_batches(part, batch_format="pyarrow")
-    return grouped_aggregate(
-        coalesce_small(partials, 0.25), "lang", {"n_uncovered": ("n_uncovered", "sum")}
-    ).sort("lang")
+    return keyed_fold(anti, "lang", {"n_uncovered": ("lang", "count")})
 
 
 def _q_nearest_poly_centroid(sf_dir: str):
@@ -154,7 +142,7 @@ def _q_nearest_poly_centroid(sf_dir: str):
 
 def _q_lang_spatial_profile(sf_dir: str):
     """Per-lang spatial footprint: point count, distinct occupied 0.5° cells,
-    and bbox — per-(lang, cell) partials, two tiny key-only exchanges."""
+    and bbox — per-(lang, cell) rows folded on the driver, no exchange."""
     from rasterflow.pipelines.zonal import group_spatial_profile
 
     return group_spatial_profile(documents_points(sf_dir), ORACLE_GRID, "lang")
@@ -162,7 +150,7 @@ def _q_lang_spatial_profile(sf_dir: str):
 
 def _q_cell_pyramid(sf_dir: str):
     """Multi-resolution count pyramid (map-tile zoom stack) over the oracle
-    grid: levels 0/1/2 from ONE scan, one (level, cell) shuffle."""
+    grid: levels 0/1/2 from ONE scan, folded per (level, cell) on the driver."""
     from rasterflow.pipelines.zonal import pyramid_histogram
 
     return pyramid_histogram(documents_points(sf_dir), ORACLE_GRID, levels=3)
@@ -182,7 +170,7 @@ def _q_pagerank_dups(sf_dir: str):
 
 def _q_source_profile(sf_dir: str):
     """Per-source spatial footprint — the generic group_spatial_profile on
-    its third key plane (lang → user → source); raw points never shuffle."""
+    its third key plane (lang → user → source); folded on the driver."""
     from rasterflow.pipelines.zonal import group_spatial_profile
 
     return group_spatial_profile(
@@ -195,54 +183,32 @@ def _q_events_dow(sf_dir: str):
     anchor arithmetic, pure ints) — the temporal-profile reporting query."""
     import ray.data
 
+    from rasterflow.util import keyed_fold
+
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     def fn(b: pa.Table) -> pa.Table:
         us = b.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype("int64")
-        dow = (us // 86_400_000_000 + 4) % 7  # 1970-01-01 was a Thursday
-        uniq, cnt = np.unique(dow, return_counts=True)
-        return pa.table({"dow": pa.array(uniq), "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"dow": (us // 86_400_000_000 + 4) % 7})  # 1970-01-01 was a Thursday
 
-    from rasterflow.util import coalesce_small, grouped_aggregate
-
-    out = grouped_aggregate(
-        coalesce_small(ds.map_batches(fn, batch_format="pyarrow"), 0.25),
-        "dow",
-        {"n": ("n", "sum")},
-    )
-    return out.sort("dow")
+    return keyed_fold(ds.map_batches(fn, batch_format="pyarrow"), "dow", {"n": ("dow", "count")})
 
 
 def _q_events_punchcard(sf_dir: str):
     """Punch-card heatmap: events per (weekday, hour) cell — the classic
-    temporal-profile matrix; pure epoch integer arithmetic, collapsed
-    (dow, hour) partials."""
+    temporal-profile matrix; pure epoch integer arithmetic, folded per
+    (dow, hour) on the driver."""
     import ray.data
+
+    from rasterflow.util import keyed_fold
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
     def fn(b: pa.Table) -> pa.Table:
         us = b.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype("int64")
-        dow = (us // 86_400_000_000 + 4) % 7
-        hour = (us // 3_600_000_000) % 24
-        key = dow * 24 + hour
-        uniq, cnt = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "dow": pa.array(uniq // 24),
-                "hour": pa.array(uniq % 24),
-                "n": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"dow": (us // 86_400_000_000 + 4) % 7, "hour": (us // 3_600_000_000) % 24})
 
-    from rasterflow.util import coalesce_small, grouped_aggregate
-
-    out = grouped_aggregate(
-        coalesce_small(ds.map_batches(fn, batch_format="pyarrow"), 0.25),
-        ["dow", "hour"],
-        {"n": ("n", "sum")},
-    )
-    return out.sort(["dow", "hour"])
+    return keyed_fold(ds.map_batches(fn, batch_format="pyarrow"), ["dow", "hour"], {"n": ("dow", "count")})
 
 
 def _q_domain_trend(sf_dir: str):
@@ -382,7 +348,8 @@ def _q_coverage_gaps(sf_dir: str):
 def _q_focal_majority(sf_dir: str):
     """Categorical focal majority filter: the modal language over each
     cell's 3×3 neighborhood (GIS mode filter) — per-(cell, lang) scatter +
-    one exchange + vectorized per-cell argmax with lexicographic ties."""
+    driver-side fold and sum + vectorized per-cell argmax with lexicographic
+    ties."""
     from rasterflow.pipelines.cellagg import focal_majority
 
     return focal_majority(documents_points(sf_dir), ORACLE_GRID)
@@ -419,7 +386,7 @@ def _q_lang_entropy_polys(sf_dir: str):
 
 def _q_lang_entropy_cells(sf_dir: str):
     """Per-cell Shannon entropy of the language mix (diversity raster):
-    fixed-order fold over the lang domain + scalar libm logs — the
+    fixed-order sum over the lang domain + scalar libm logs — the
     lm_nll-style bit-reproducible float plane, hash-exact."""
     from rasterflow.pipelines.zonal import cell_group_entropy
 
@@ -464,8 +431,8 @@ def _q_doc_skyline(sf_dir: str):
 
 def _q_choropleth(sf_dir: str):
     """Quantile-break choropleth classes over the cell count raster: exact
-    distributed pivot quantiles on the collapsed (cell, n) table, broadcast
-    thresholds, row-local classify."""
+    rank-rule breaks from the folded (cell, n) table's sorted counts, then
+    every cell classified on the driver."""
     from rasterflow.pipelines.zonal import choropleth_classes
 
     return choropleth_classes(documents_points(sf_dir), ORACLE_GRID)
@@ -485,7 +452,8 @@ def _q_triangle_docs(sf_dir: str):
 def _q_adaptive_cells(sf_dir: str):
     """Adaptive quadtree tiling: each populated region at the coarsest level
     that needs no further split (count-threshold drill-down) — one point
-    scan + one pyramid self-join on the parent key, row-local leaf filter."""
+    scan folded to the pyramid, each cell's parent count found by a driver
+    ``searchsorted``, row-local leaf filter."""
     from rasterflow.pipelines.zonal import adaptive_cells
 
     return adaptive_cells(documents_points(sf_dir), ORACLE_GRID, levels=3, threshold=50)
@@ -593,7 +561,7 @@ def _q_home_cells(sf_dir: str):
 def _q_user_profile(sf_dir: str):
     """Per-user spatial footprint (n_points, distinct cells, bbox) — the
     generic group_spatial_profile keyed by user instead of lang; raw events
-    never shuffle, only per-(user, cell) partials do."""
+    never shuffle, per-(user, cell) rows fold on the driver."""
     from rasterflow.pipelines.points import events_points
     from rasterflow.pipelines.zonal import group_spatial_profile
 

@@ -111,22 +111,22 @@ def coverage_gaps(points_ds, grid: Grid, sort: bool = True):
     return out.sort("cell_id") if sort else out
 
 
-def rollup_histogram(hist_ds, parent_res: int, sort: bool = True):
-    """Roll a global-cell histogram up to a coarser resolution.
+def rollup_histogram(hist_ds, parent_res: int):
+    """Roll a global-cell histogram up to a coarser resolution, sorted by
+    cell id.
 
-    Pure bit-shift parent derivation (M7 hierarchy) + re-aggregation — no
-    re-scan of the points."""
+    Pure bit-shift parent derivation (M7 hierarchy) + re-aggregation, folded
+    on the driver — no re-scan of the points."""
+    import ray.data
+
     from ..geom.cells import parent_cells
-    from ..util import grouped_aggregate
 
     def to_parent(b: pa.Table) -> pa.Table:
         p = parent_cells(b.column("cell_id").to_numpy(zero_copy_only=False), parent_res)
         return pa.table({"cell_id": pa.array(p), "n": b.column("n")})
 
-    out = grouped_aggregate(
-        hist_ds.map_batches(to_parent, batch_format="pyarrow"), "cell_id", {"n": ("n", "sum")}
-    )
-    return out.sort("cell_id") if sort else out
+    parents = hist_ds.map_batches(to_parent, batch_format="pyarrow")
+    return ray.data.from_arrow(keyed_fold(parents, "cell_id", {"n": ("n", "sum")}))
 
 
 def aggregate_catalog(points_ds, catalog: dict, how: str = "hybrid", **kwargs):
@@ -169,12 +169,14 @@ _DX = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
 _DY = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
 
 
-def _stencil_sums(points_ds, grid: Grid, weights: dict[str, np.ndarray]) -> pa.Table:
-    """``(cell_id, n, *weights)`` sorted by cell id: each lit cell scatters
-    ``n·w`` (one int64 weight per stencil offset) to its ≤9 in-grid
-    neighbors and the scattered rows are summed per target cell; ``n`` is
-    the cell's own count (0 for a cell lit only by a neighbor)."""
-    hist = _cell_counts(points_ds, grid)
+def _stencil_sums(
+    hist: pa.Table, grid: Grid, weights: dict[str, np.ndarray], by: tuple[str, ...] = ()
+) -> pa.Table:
+    """``(cell_id, *by, n, *weights)`` sorted by ``(cell_id, *by)``: each
+    row of the folded ``(cell_id, *by, n)`` histogram scatters ``n·w`` (one
+    int64 weight per stencil offset) to its cell's ≤9 in-grid neighbors,
+    keeping its ``by`` values, and the scattered rows are summed per target;
+    ``n`` is the row's own count (0 where only a neighbor is lit)."""
     nx, ny = np.int64(grid.nx), np.int64(grid.ny)
     c = hist.column("cell_id").to_numpy().astype(np.int64)
     n = hist.column("n").to_numpy()
@@ -182,10 +184,13 @@ def _stencil_sums(points_ds, grid: Grid, weights: dict[str, np.ndarray]) -> pa.T
     ty = (c // nx)[:, None] + _DY[None, :]
     ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
     own = np.where((_DX == 0) & (_DY == 0), n[:, None], np.int64(0))
-    cols = {"cell_id": (ty * nx + tx)[ok], "own": own[ok]}
+    cols = {"cell_id": (ty * nx + tx)[ok]}
+    cols.update({k: np.broadcast_to(hist.column(k).to_numpy()[:, None], ok.shape)[ok] for k in by})
+    cols["own"] = own[ok]
     cols.update({k: (n[:, None] * w[None, :])[ok] for k, w in weights.items()})
+    keys = ["cell_id", *by]
     aggs = {"n": ("own", "sum")} | {k: (k, "sum") for k in weights}
-    return _group(pa.table(cols), ["cell_id"], aggs).sort_by("cell_id")
+    return _group(pa.table(cols), keys, aggs).sort_by([(k, "ascending") for k in keys])
 
 
 def focal_cell_smooth(points_ds, grid: Grid, kernel: str = "gauss3"):
@@ -208,7 +213,7 @@ def focal_cell_smooth(points_ds, grid: Grid, kernel: str = "gauss3"):
     import ray.data
 
     ws = np.array(_FOCAL_KERNELS[kernel], dtype=np.int64)
-    return ray.data.from_arrow(_stencil_sums(points_ds, grid, {"focal_n": ws}))
+    return ray.data.from_arrow(_stencil_sums(_cell_counts(points_ds, grid), grid, {"focal_n": ws}))
 
 
 def raster_gradient(points_ds, grid: Grid):
@@ -224,7 +229,7 @@ def raster_gradient(points_ds, grid: Grid):
 
     wx = _DX * (2 - np.abs(_DY))
     wy = _DY * (2 - np.abs(_DX))
-    red = _stencil_sums(points_ds, grid, {"gx": wx, "gy": wy})
+    red = _stencil_sums(_cell_counts(points_ds, grid), grid, {"gx": wx, "gy": wy})
     gx, gy = red.column("gx").to_numpy(), red.column("gy").to_numpy()
     return ray.data.from_arrow(red.append_column("mag2", pa.array(gx * gx + gy * gy)))
 
@@ -366,101 +371,58 @@ def hotspot_regions(points_ds, grid: Grid, min_count: int = 5, num_partitions: i
     return out.sort("region_id")
 
 
+def _ordinals(col, groups: tuple[str, ...]) -> np.ndarray:
+    """Each value's position in ``groups`` (int64), -1 for a value outside
+    them or null."""
+    import pyarrow.compute as pc
+
+    idx = pc.index_in(col, value_set=pa.array(groups))
+    return pc.fill_null(idx, -1).to_numpy(zero_copy_only=False).astype(np.int64)
+
+
 def focal_majority(
     points_ds,
     grid: Grid,
     group_col: str = "lang",
     groups: tuple[str, ...] = ("de", "en", "es", "fr", "zh"),
-    num_partitions: int | None = None,
-    sort: bool = True,
 ):
     """Categorical focal MAJORITY filter: for each cell, the modal category
-    over its 3×3 neighborhood (ties to the lexicographically first group) —
-    the GIS majority/mode filter that denoises a categorical raster, here
-    "which language dominates each area".
+    over its 3×3 neighborhood (ties to the first of ``groups``) — the GIS
+    majority/mode filter that denoises a categorical raster, here "which
+    language dominates each area".
 
     Same scatter plan as :func:`focal_cell_smooth`, carried per category:
-    the point stream collapses to (cell, group) counts, each row scatters to
-    its ≤9 in-grid neighbors, one exchange sums per (cell, group), and a
-    per-cell vectorized argmax picks the winner.  All integers + a fixed
-    group order — hash-exact.  Returns ``(cell_id, lang, n_maj)``.
+    each point's (cell, group ordinal) folds to (cell, group) counts on the
+    driver, each row scatters to its ≤9 in-grid neighbors, the scattered
+    rows are summed per (cell, group), and a per-cell argmax picks the
+    winner.  All integers + a fixed group order — hash-exact.  Returns
+    ``(cell_id, lang, n_maj)`` sorted by cell id.
     """
-    import pandas as pd
+    import ray.data
 
-    from ..util import _hash_cols, coalesce_small, grouped_aggregate, shuffle_parts
-
-    if num_partitions is None:
-        num_partitions = shuffle_parts(0.5)
-    gidx = {g: i for i, g in enumerate(groups)}
-    nx, ny = np.int64(grid.nx), np.int64(grid.ny)
-    dxs = np.tile(np.array([-1, 0, 1], dtype=np.int64), 3)
-    dys = np.repeat(np.array([-1, 0, 1], dtype=np.int64), 3)
-    empty = pa.schema([("cell_id", pa.int64()), ("gi", pa.int64()), ("n", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         lin, valid = grid.locate_linear(
-            batch.column("x").to_numpy(zero_copy_only=False),
-            batch.column("y").to_numpy(zero_copy_only=False),
+            batch.column("x").to_numpy(zero_copy_only=False), batch.column("y").to_numpy(zero_copy_only=False)
         )
-        g = batch.column(group_col).to_pandas().map(gidx)
-        m = valid & g.notna().to_numpy()
-        if not m.any():
-            return empty.empty_table()
-        df = pd.DataFrame({"cell_id": lin[m], "gi": g.to_numpy()[m].astype(np.int64)})
-        out = df.groupby(["cell_id", "gi"], as_index=False, sort=False).size()
-        return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
+        gi = _ordinals(batch.column(group_col), groups)
+        m = valid & (gi >= 0)
+        return pa.table({"cell_id": lin[m], "gi": gi[m]})
 
-    counts = grouped_aggregate(
-        coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.25),
-        ["cell_id", "gi"],
-        {"n": ("n", "sum")},
-    )
-
-    def scatter(t: pa.Table) -> pa.Table:
-        c = t.column("cell_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        gi = t.column("gi").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        cx, cy = c % nx, c // nx
-        tx = cx[:, None] + dxs[None, :]
-        ty = cy[:, None] + dys[None, :]
-        ok = (tx >= 0) & (tx < nx) & (ty >= 0) & (ty < ny)
-        tgt = (ty * nx + tx)[ok]
-        gii = np.broadcast_to(gi[:, None], ok.shape)[ok]
-        nn = np.broadcast_to(n[:, None], ok.shape)[ok]
-        return pa.table({"cell_id": pa.array(tgt), "gi": pa.array(gii), "n": pa.array(nn)})
-
-    nb = grouped_aggregate(
-        counts.map_batches(scatter, batch_format="pyarrow"),
-        ["cell_id", "gi"],
-        {"n": ("n", "sum")},
-        num_partitions=num_partitions,
-        weight=0.25,
-    )
-
-    def addpk(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"cell_id": t.column("cell_id").to_numpy(zero_copy_only=False)})
-        pk = (_hash_cols(df, ["cell_id"]) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_pk", pa.array(pk))
-
-    garr = np.asarray(groups)
-
-    def majority(gdf: pd.DataFrame) -> pd.DataFrame:
-        agg = gdf.groupby(["cell_id", "gi"], as_index=False)["n"].sum()
-        # winner per cell: max n, tie -> lowest gi (groups are sorted, so
-        # lexicographically first)
-        agg = agg.sort_values(["n", "gi"], ascending=[False, True], kind="stable")
-        win = agg.groupby("cell_id", sort=False).head(1)
-        return pd.DataFrame(
+    keys = ["cell_id", "gi"]
+    counts = keyed_fold(points_ds.map_batches(cells, batch_format="pyarrow"), keys, {"n": ("gi", "count")})
+    counts = counts.cast(pa.schema([(k, pa.int64()) for k in counts.column_names]))
+    nb = _stencil_sums(counts, grid, {"n_maj": np.ones(9, dtype=np.int64)}, by=("gi",))
+    c, gi, n = (nb.column(k).to_numpy() for k in ("cell_id", "gi", "n_maj"))
+    # winner per cell: max count, ties to the lowest group ordinal; the
+    # lexsort keeps the rows' cell order, so each cell starts where it did
+    order = np.lexsort((gi, -n, c))
+    win = order[np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))] if len(c) else order
+    return ray.data.from_arrow(
+        pa.table(
             {
-                "cell_id": win["cell_id"].to_numpy(),
-                group_col: garr[win["gi"].to_numpy()],
-                "n_maj": win["n"].to_numpy(),
+                "cell_id": c[win],
+                group_col: pa.array(np.asarray(groups, dtype=object)[gi[win]], type=pa.string()),
+                "n_maj": n[win],
             }
         )
-
-    out = (
-        nb.map_batches(addpk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(majority, batch_format="pandas")
     )
-    return out.sort("cell_id") if sort else out

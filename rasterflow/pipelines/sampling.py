@@ -1205,7 +1205,7 @@ def rank_transform(ds, col: str, id_col: str = "doc_id", sort: bool = True):
     return out.sort(id_col) if sort else out
 
 
-def group_mad(ds, col: str, group_col: str, sort: bool = True):
+def group_mad(ds, col: str, group_col: str):
     """Per-group ROBUST statistics: the rank-rule median and the MAD
     (median absolute deviation) — outlier-resistant scale estimation for
     quality gating where means/stds are poisoned by heavy tails.
@@ -1218,7 +1218,7 @@ def group_mad(ds, col: str, group_col: str, sort: bool = True):
     null only where its value is).  Only distinct ``(group, value)`` pairs
     leave the map tasks.  Integer columns stay integer end to end (|v - med|
     is exact).  Returns ``(group, median, mad)``, built on the driver in
-    group order — sorted whatever ``sort`` says.
+    group order.
     """
     import ray
     import ray.data
@@ -1247,7 +1247,7 @@ def group_mad(ds, col: str, group_col: str, sort: bool = True):
     )
 
 
-def group_gini(ds, col: str, group_col: str, sort: bool = True):
+def group_gini(ds, col: str, group_col: str):
     """Per-group inequality: the exact Gini NUMERATOR ``Σ_{i,j} |x_i - x_j|``
     over all ordered pairs, plus n and Σx — the consumer divides
     ``gini_num / (2 n² mean)`` for the coefficient.  Length/score
@@ -1259,7 +1259,7 @@ def group_gini(ds, col: str, group_col: str, sort: bool = True):
     counts/sums — one vectorized pass over the COLLAPSED (group, value)
     table for all groups, never O(n²).  Only distinct pairs leave the map
     tasks.  Returns ``(group, n, sum_v, gini_num)``, all int64, built on the
-    driver in group order — sorted whatever ``sort`` says.
+    driver in group order.
     """
     import ray.data
 

@@ -3,28 +3,33 @@
 The reference's join kernels aggregate per-polygon COUNT and AVG only
 (``RasterJoin/join/RasterJoinAlgo.cpp`` accumulates a (count, sum) canvas;
 ``Common.h:24-27`` declares no min/max).  This module adds the GIS "zonal
-statistics" family a raster-join consumer runs next — all expressed as the
-same partial→reduce split as :class:`~rasterflow.pipelines.joins.SpatialJoinAgg`:
+statistics" family a raster-join consumer runs next:
 
 * :func:`zonal_stats` — per-polygon count / sum / min / max of a value column
   (min/max are order-independent and therefore hash-exact; the float sum is
   exact whenever the value column is integer-valued, cf. ``agg_poly_sum``).
 * :func:`spatial_anti_join` — the coverage complement (points contained in NO
-  polygon of the layer), the GIS "erase" operation.  Streaming row filter, no
-  shuffle.
+  polygon of the layer), the GIS "erase" operation.  Streaming row filter.
 * :func:`nearest_site_counts` — nearest-facility assignment of every point to
   a small broadcast set of sites (squared-Euclidean, ties to the lowest site
-  id) with per-site count + min distance.  Partials are ≤ k rows per batch.
+  id) with per-site count + min distance.
 * :func:`group_spatial_profile` — per-group spatial footprint: point count,
-  distinct occupied cells, bounding box.  Two tiny shuffles of per-(group,
-  cell) partials; the raw points never move.
+  distinct occupied cells, bounding box.
 * :func:`pyramid_histogram` — multi-resolution count pyramid over a local
-  canvas grid (a map-tile zoom stack): ONE scan of the points, every level
-  emitted from the same per-batch partial, one (level, cell) shuffle.
+  canvas grid (a map-tile zoom stack) from ONE scan of the points.
 
-100 TB posture: every stage reduces inside ``map_batches`` first (partials are
-bounded by the touched-key count per batch, not the row count), so the only
-exchanges are over already-collapsed keys.
+One reduce design serves every key-bounded operator here, as the
+reference reads its per-polygon and per-cell aggregates back from one
+canvas (``RasterJoin/join/RasterJoin.cpp:51-78``): the map tasks emit
+per-point (or per-batch partial) key and value columns, and
+:func:`~rasterflow.util.keyed_fold` combines each block with one Arrow
+``group_by`` before anything moves (a hot key collapses inside its map
+task) and folds the blocks on the driver.  Each finalize step (classify,
+trend numerator, entropy, leaf test) then runs once on the driver over the
+folded table, which holds one row per distinct key: polygons, sites,
+cells, or cells × groups.  Past ``util.FOLD_BUDGET_BYTES`` the fold
+finishes in a hash exchange instead.  Only :func:`cell_top_terms`, whose
+keys are cells × vocabulary (unbounded), reduces through an exchange.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..geom.cells import Grid
-from ..util import coalesce_small, grouped_aggregate, map_stage, worker_memo
+from ..util import _group, keyed_fold, map_stage, worker_memo
+from .cellagg import _cell_counts, _ordinals
 from .joins import JOIN_BATCH_ROWS, SpatialJoinAgg, _bundle_ref
 
 _ZONAL_SCHEMA = pa.schema(
@@ -45,6 +51,20 @@ _ZONAL_SCHEMA = pa.schema(
         ("max", pa.float64()),
     ]
 )
+
+
+def _dataset(t: pa.Table, schema: pa.Schema | None = None):
+    """A driver-side result as a one-block Dataset, cast to ``schema``: a
+    fold that received no rows types its columns only as far as Ray knew
+    the input's schema (:func:`~rasterflow.util.keyed_fold`)."""
+    import ray.data
+
+    return ray.data.from_arrow(t if schema is None else t.cast(schema))
+
+
+def _schema(*cols) -> pa.Schema:
+    """Schema of ``cols``: a bare name is int64, else a ``(name, type)``."""
+    return pa.schema([(c, pa.int64()) if isinstance(c, str) else c for c in cols])
 
 
 class SpatialZonalStats(SpatialJoinAgg):
@@ -92,9 +112,9 @@ def zonal_stats(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     max_cover_cells: int = 32_000_000,
-    sort: bool = True,
 ):
-    """Per-polygon ``count / sum / min / max`` of ``value_col``.
+    """Per-polygon ``count / sum / min / max`` of ``value_col``, sorted by
+    polygon id.
 
     ``min``/``max`` are order-independent (bit-exact under any partitioning);
     the float64 ``sum`` is exact for integer-valued columns below 2^53.
@@ -103,17 +123,8 @@ def zonal_stats(
     partials = map_stage(
         points_ds, SpatialZonalStats, batch_size=JOIN_BATCH_ROWS, bundle=ref, how=how, value_col=value_col
     )
-    out = grouped_aggregate(
-        coalesce_small(partials, 0.25),
-        "poly_id",
-        {
-            "count": ("count", "sum"),
-            "sum": ("sum", "sum"),
-            "min": ("min", "min"),
-            "max": ("max", "max"),
-        },
-    )
-    return out.sort("poly_id") if sort else out
+    aggs = {"count": ("count", "sum"), "sum": ("sum", "sum"), "min": ("min", "min"), "max": ("max", "max")}
+    return _dataset(keyed_fold(partials, "poly_id", aggs), _ZONAL_SCHEMA)
 
 
 def spatial_anti_join(
@@ -148,7 +159,7 @@ def spatial_anti_join(
     return points_ds.map_batches(fn, batch_format="pyarrow", batch_size=JOIN_BATCH_ROWS)
 
 
-def nearest_site_counts(points_ds, sites, batch_size: int = 65536, sort: bool = True):
+def nearest_site_counts(points_ds, sites, batch_size: int = 65536):
     """Nearest-facility assignment: each point to its nearest site.
 
     ``sites`` is a small (k, 2) array broadcast in the task closure — no
@@ -156,7 +167,8 @@ def nearest_site_counts(points_ds, sites, batch_size: int = 65536, sort: bool = 
     is squared Euclidean ``(x-sx)² + (y-sy)²`` (deterministic float64 — two
     products and one add, no accumulation), ties broken toward the lowest site
     id (numpy ``argmin`` first-occurrence ≡ SQL ``ORDER BY d2, site_id``).
-    Returns ``(site_id, count, min_d2)`` for every site that won ≥1 point.
+    Returns ``(site_id, count, min_d2)`` for every site that won ≥1 point,
+    sorted by site id.
     """
     s = np.ascontiguousarray(np.asarray(sites, dtype=np.float64).reshape(-1, 2))
     k = len(s)
@@ -185,12 +197,8 @@ def nearest_site_counts(points_ds, sites, batch_size: int = 65536, sort: bool = 
         )
 
     partials = points_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-    out = grouped_aggregate(
-        coalesce_small(partials, 0.25),
-        "site_id",
-        {"count": ("count", "sum"), "min_d2": ("min_d2", "min")},
-    )
-    return out.sort("site_id") if sort else out
+    aggs = {"count": ("count", "sum"), "min_d2": ("min_d2", "min")}
+    return _dataset(keyed_fold(partials, "site_id", aggs), empty)
 
 
 def boundary_edges(layer) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -262,72 +270,35 @@ def smallest_k(ds, score_col: str, id_col: str, k: int):
     )
 
 
-def group_spatial_profile(points_ds, grid: Grid, group_col: str = "lang", sort: bool = True):
+def group_spatial_profile(points_ds, grid: Grid, group_col: str = "lang"):
     """Per-group spatial footprint: ``(group, n_points, n_cells, min_x, max_x,
-    min_y, max_y)`` where ``n_cells`` counts distinct occupied grid cells.
+    min_y, max_y)`` sorted by group, where ``n_cells`` counts distinct
+    occupied grid cells.
 
-    Stage 1 collapses each batch to per-(group, cell) partials; stage 2
-    reduces those to unique (group, cell) rows; stage 3 folds to one row per
-    group.  The raw points move zero times — only collapsed keys shuffle.
-    Points outside the grid are dropped (canvas clip, like the histogram)."""
-    import pandas as pd
+    The map emits each point's (group, cell, x, y); one fold on (group,
+    cell) leaves one row per occupied cell of each group, and one driver
+    ``group_by`` on the group folds those.  Points outside the grid are
+    dropped (canvas clip, like the histogram), and so are null groups."""
 
-    empty = pa.schema(
-        [
-            (group_col, pa.string()),
-            ("cell_id", pa.int64()),
-            ("n", pa.int64()),
-            ("min_x", pa.float64()),
-            ("max_x", pa.float64()),
-            ("min_y", pa.float64()),
-            ("max_y", pa.float64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         lin, valid = grid.locate_linear(x, y)
-        g = batch.column(group_col).to_pandas()
-        df = pd.DataFrame({group_col: g, "cell_id": lin, "x": x, "y": y})
-        if not valid.all():
-            df = df[valid]
-        if len(df) == 0:
-            return empty.empty_table()
-        out = df.groupby([group_col, "cell_id"], as_index=False, sort=False).agg(
-            n=pd.NamedAgg("x", "size"),
-            min_x=pd.NamedAgg("x", "min"),
-            max_x=pd.NamedAgg("x", "max"),
-            min_y=pd.NamedAgg("y", "min"),
-            max_y=pd.NamedAgg("y", "max"),
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        g = batch.column(group_col).filter(pa.array(valid))
+        return pa.table({group_col: g, "cell_id": lin[valid], "x": x[valid], "y": y[valid]})
 
-    partials = points_ds.map_batches(partial, batch_format="pyarrow")
-    per_cell = grouped_aggregate(
-        coalesce_small(partials, 0.25),
+    box = {"min_x": ("x", "min"), "max_x": ("x", "max"), "min_y": ("y", "min"), "max_y": ("y", "max")}
+    per_cell = keyed_fold(
+        points_ds.map_batches(cells, batch_format="pyarrow"),
         [group_col, "cell_id"],
-        {
-            "n": ("n", "sum"),
-            "min_x": ("min_x", "min"),
-            "max_x": ("max_x", "max"),
-            "min_y": ("min_y", "min"),
-            "max_y": ("max_y", "max"),
-        },
+        {"n": ("cell_id", "count")} | box,
     )
-    out = grouped_aggregate(
-        per_cell,
-        group_col,
-        {
-            "n_points": ("n", "sum"),
-            "n_cells": ("cell_id", "count"),
-            "min_x": ("min_x", "min"),
-            "max_x": ("max_x", "max"),
-            "min_y": ("min_y", "min"),
-            "max_y": ("max_y", "max"),
-        },
-    )
-    return out.sort(group_col) if sort else out
+    aggs = {"n_points": ("n", "sum"), "n_cells": ("cell_id", "count")}
+    aggs |= {k: (k, fn) for k, (_, fn) in box.items()}
+    out = _group(per_cell, [group_col], aggs).sort_by(group_col)
+    gtype = per_cell.schema.field(group_col).type
+    floats = [(c, pa.float64()) for c in box]
+    return _dataset(out, _schema((group_col, gtype), "n_points", "n_cells", *floats))
 
 
 def poly_edges(layer) -> tuple[np.ndarray, ...]:
@@ -351,7 +322,6 @@ def buffered_polygon_counts(
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
     batch_size: int = 65536,
-    sort: bool = True,
 ):
     """GIS buffer analysis: per polygon, count points inside it OR within
     ``buffer_dist`` of its boundary — "population within 500 m of each park".
@@ -360,11 +330,11 @@ def buffered_polygon_counts(
     boundary distance is the clamped point-to-segment projection over the
     polygon's OWN contiguous edge block (``np.minimum.reduceat`` across the
     edge axis — min is order-independent, so hash-exact).  Each batch
-    collapses to ≤ npolys count partials; one collapsed-key exchange.  The
-    edge table broadcasts in the task closure — dashboard-scale layers; a
-    10^6-edge layer goes through the tile-sharded path (pair points only
-    with nearby cells' edges), the same escape hatch as
-    :func:`distance_to_boundary`.
+    collapses to ≤ npolys count partials, folded on the driver; the result
+    is sorted by polygon id.  The edge table broadcasts in the task closure
+    — dashboard-scale layers; a 10^6-edge layer goes through the
+    tile-sharded path (pair points only with nearby cells' edges), the same
+    escape hatch as :func:`distance_to_boundary`.
     """
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, 32_000_000)
     estarts, ax, ay, bx, by = poly_edges(layer)
@@ -408,10 +378,7 @@ def buffered_polygon_counts(
         )
 
     partials = points_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-    out = grouped_aggregate(
-        coalesce_small(partials, 0.25), "poly_id", {"n_buffer": ("n_buffer", "sum")}
-    )
-    return out.sort("poly_id") if sort else out
+    return _dataset(keyed_fold(partials, "poly_id", {"n_buffer": ("n_buffer", "sum")}), empty)
 
 
 def hotspot_evolution(
@@ -420,14 +387,15 @@ def hotspot_evolution(
     id_col: str = "doc_id",
     buckets: int = 8,
     min_count: int = 10,
-    sort: bool = True,
 ):
     """Emerging-hotspot classification (the space-time follow-up to
     :func:`cell_trend`): split the crawl span into early/late halves and
     label each cell ``emerging`` (hot only late), ``declining`` (hot only
     early) or ``persistent`` (hot in both), where hot means ≥ ``min_count``
     points in that half.  Integer counts + a CASE label — hash-exact.  Same
-    single-scan collapsed-partial plan as :func:`cell_trend`.
+    plan as :func:`cell_trend`: each point's (cell, late) folds to per-cell
+    ``(n, n_late)``, labelled on the driver.  Returns ``(cell_id, n_early,
+    n_late, status)`` sorted by cell id.
     """
     from ..sources.fixtures import TS_SPAN
 
@@ -436,51 +404,32 @@ def hotspot_evolution(
     w = TS_SPAN // buckets
     half = buckets // 2
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
         y = batch.column("y").to_numpy(zero_copy_only=False)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
         lin, valid = grid.locate_linear(x, y)
-        lin, ids = lin[valid], ids[valid]
-        late = (((ids * 137) % TS_SPAN) // w) >= half
-        order = np.argsort(lin, kind="stable")
-        lins, lates = lin[order], late[order]
-        uniq, starts = np.unique(lins, return_index=True)
-        counts = np.diff(np.append(starts, len(lins)))
-        n_late = np.add.reduceat(lates.astype(np.int64), starts) if len(lates) else np.empty(0, np.int64)
-        return pa.table(
+        late = (((ids[valid] * 137) % TS_SPAN) // w) >= half
+        return pa.table({"cell_id": lin[valid], "late": late.astype(np.int64)})
+
+    aggs = {"n": ("cell_id", "count"), "n_late": ("late", "sum")}
+    t = keyed_fold(points_ds.map_batches(cells, batch_format="pyarrow"), "cell_id", aggs)
+    c, n, nl = (col.to_numpy() for col in t.cast(_schema("cell_id", *aggs)).columns)
+    ne = n - nl
+    hot_e = ne >= min_count
+    hot_l = nl >= min_count
+    keep = hot_e | hot_l
+    status = np.where(hot_e & hot_l, "persistent", np.where(hot_l, "emerging", "declining"))
+    return _dataset(
+        pa.table(
             {
-                "cell_id": pa.array(uniq),
-                "n_early": pa.array(counts.astype(np.int64) - n_late),
-                "n_late": pa.array(n_late),
+                "cell_id": c[keep],
+                "n_early": ne[keep],
+                "n_late": nl[keep],
+                "status": pa.array(status[keep], type=pa.string()),
             }
         )
-
-    partials = coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.25)
-    agg = grouped_aggregate(
-        partials, "cell_id", {"n_early": ("n_early", "sum"), "n_late": ("n_late", "sum")}
     )
-
-    def classify(t: pa.Table) -> pa.Table:
-        ne = t.column("n_early").to_numpy(zero_copy_only=False)
-        nl = t.column("n_late").to_numpy(zero_copy_only=False)
-        hot_e = ne >= min_count
-        hot_l = nl >= min_count
-        keep = hot_e | hot_l
-        status = np.where(
-            hot_e & hot_l, "persistent", np.where(hot_l, "emerging", "declining")
-        )
-        return pa.table(
-            {
-                "cell_id": t.column("cell_id").filter(pa.array(keep)),
-                "n_early": pa.array(ne[keep]),
-                "n_late": pa.array(nl[keep]),
-                "status": pa.array(status[keep].tolist(), type=pa.string()),
-            }
-        )
-
-    out = agg.map_batches(classify, batch_format="pyarrow")
-    return out.sort("cell_id") if sort else out
 
 
 def cell_trend(
@@ -489,7 +438,6 @@ def cell_trend(
     id_col: str = "doc_id",
     buckets: int = 8,
     min_points: int = 10,
-    sort: bool = True,
 ):
     """Per-cell temporal activity trend — raster change detection over time.
 
@@ -503,9 +451,9 @@ def cell_trend(
     *integer* whose sign/magnitude ranks cells by activity growth — integer
     end to end, hash-exact under any partitioning.  Σxy needs no dense
     bucket vector: it is just the sum of bucket indices over the cell's rows,
-    so each batch collapses to per-cell ``(n, Σbucket)`` partials and ONE
-    collapsed-key exchange finalizes.  Returns ``(cell_id, n, trend_num)``
-    for cells with ``n >= min_points``.
+    so each point's (cell, bucket) folds to per-cell ``(n, Σbucket)`` and
+    the driver finalizes.  Returns ``(cell_id, n, trend_num)`` for cells
+    with ``n >= min_points``, sorted by cell id.
     """
     from ..sources.fixtures import TS_SPAN
 
@@ -514,47 +462,22 @@ def cell_trend(
     w = TS_SPAN // buckets
     sx = buckets * (buckets - 1) // 2  # Σx over 0..B-1
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
         y = batch.column("y").to_numpy(zero_copy_only=False)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
         lin, valid = grid.locate_linear(x, y)
-        lin, ids = lin[valid], ids[valid]
-        bk = ((ids * 137) % TS_SPAN) // w
-        order = np.argsort(lin, kind="stable")
-        lins, bks = lin[order], bk[order]
-        uniq, starts = np.unique(lins, return_index=True)
-        counts = np.diff(np.append(starts, len(lins)))
-        return pa.table(
-            {
-                "cell_id": pa.array(uniq),
-                "n": pa.array(counts.astype(np.int64)),
-                "sb": pa.array(np.add.reduceat(bks, starts) if len(bks) else np.empty(0, np.int64)),
-            }
-        )
+        return pa.table({"cell_id": lin[valid], "bucket": ((ids[valid] * 137) % TS_SPAN) // w})
 
-    partials = coalesce_small(points_ds.map_batches(partial, batch_format="pyarrow"), 0.25)
-    agg = grouped_aggregate(partials, "cell_id", {"n": ("n", "sum"), "sb": ("sb", "sum")})
-
-    def finalize(t: pa.Table) -> pa.Table:
-        n = t.column("n").to_numpy(zero_copy_only=False)
-        sb = t.column("sb").to_numpy(zero_copy_only=False)
-        keep = n >= min_points
-        return pa.table(
-            {
-                "cell_id": t.column("cell_id").filter(pa.array(keep)),
-                "n": pa.array(n[keep]),
-                "trend_num": pa.array(buckets * sb[keep] - sx * n[keep]),
-            }
-        )
-
-    out = agg.map_batches(finalize, batch_format="pyarrow")
-    return out.sort("cell_id") if sort else out
+    aggs = {"n": ("cell_id", "count"), "sb": ("bucket", "sum")}
+    t = keyed_fold(points_ds.map_batches(cells, batch_format="pyarrow"), "cell_id", aggs)
+    c, n, sb = (col.to_numpy() for col in t.cast(_schema("cell_id", *aggs)).columns)
+    keep = n >= min_points
+    trend_num = buckets * sb[keep] - sx * n[keep]
+    return _dataset(pa.table({"cell_id": c[keep], "n": n[keep], "trend_num": trend_num}))
 
 
-def cell_top_terms(
-    points_ds, grid: Grid, k: int = 3, text_col: str = "text", sort: bool = True
-):
+def cell_top_terms(points_ds, grid: Grid, k: int = 3, text_col: str = "text"):
     """Per-cell top-``k`` vocabulary terms — "what words trend where", the
     geo×text crossover a crawl heatmap serves next to the count raster.
 
@@ -571,7 +494,11 @@ def cell_top_terms(
     """
     import pandas as pd
 
-    from ..pipelines.sampling import top_k_per_group
+    # the one exchange of this module: (cell, token) keys grow with the
+    # vocabulary, not with the canvas, so they are not bounded enough to
+    # fold on the driver
+    from ..util import coalesce_small, grouped_aggregate
+    from .sampling import top_k_per_group
 
     empty = pa.schema([("cell_id", pa.int64()), ("token", pa.string()), ("n", pa.int64())])
 
@@ -596,51 +523,25 @@ def cell_top_terms(
     return top_k_per_group(agg, "cell_id", "n", k, id_col="token")
 
 
-def _entropy_fold(gdf, key_name: str, ngroups: int):
-    """Per-key Shannon entropy from collapsed ``(key, gi, n)`` rows.
+def _entropy_fold(t: pa.Table, key_name: str, ngroups: int) -> pa.Table:
+    """Per-key Shannon entropy from the folded ``(key, gi, n)`` table.
 
     Fixed left-to-right fold over group ordinals (the SQL chain's order)
     with SCALAR libm logs — numpy's SIMD log drifts 1 ulp from DuckDB's
     ln on rare inputs (the lm_nll lesson); the loop is bounded by the
-    COLLAPSED keys × groups table, never raw rows."""
+    folded keys × groups table, never raw rows."""
     import math
 
-    import pandas as pd
-
-    agg = gdf.groupby([key_name, "gi"], as_index=False)["n"].sum()
-    keys_, kinv = np.unique(agg[key_name].to_numpy(), return_inverse=True)
+    keys_, kinv = np.unique(t.column(key_name).to_numpy(), return_inverse=True)
     mat = np.zeros((len(keys_), ngroups), dtype=np.int64)
-    mat[kinv, agg["gi"].to_numpy()] = agg["n"].to_numpy()
+    mat[kinv, t.column("gi").to_numpy()] = t.column("n").to_numpy()
     n = mat.sum(axis=1)
     ent = np.zeros(len(keys_), dtype=np.float64)
     for i in range(ngroups):
         p = mat[:, i].astype(np.float64) / n
         lg = np.array([math.log(v) if v > 0 else 0.0 for v in p])
         ent = ent + np.where(mat[:, i] > 0, -(p * lg), 0.0)
-    return pd.DataFrame({key_name: keys_, "n": n, "entropy": ent})
-
-
-def _entropy_by_key(partials, key_name: str, ngroups: int):
-    """Per-key entropy of collapsed ``(key, gi, n)`` partials: coalesce,
-    hash-partition by key, then :func:`_entropy_fold` each partition —
-    the shared tail of the cell- and polygon-keyed entropy operators."""
-    import pandas as pd
-
-    from ..util import _hash_cols, shuffle_parts
-
-    num_partitions = shuffle_parts(0.5)
-
-    def addpk(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({key_name: t.column(key_name).to_numpy(zero_copy_only=False)})
-        pk = (_hash_cols(df, [key_name]) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_pk", pa.array(pk))
-
-    return (
-        coalesce_small(partials, 0.25)
-        .map_batches(addpk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(lambda g: _entropy_fold(g, key_name, ngroups), batch_format="pandas")
-    )
+    return pa.table({key_name: keys_, "n": n, "entropy": ent})
 
 
 def cell_group_entropy(
@@ -648,7 +549,6 @@ def cell_group_entropy(
     grid: Grid,
     group_col: str = "lang",
     groups: tuple[str, ...] = ("de", "en", "es", "fr", "zh"),
-    sort: bool = True,
 ):
     """Per-cell Shannon entropy of a categorical mix (language-diversity
     raster — "how multilingual is each area").
@@ -658,72 +558,47 @@ def cell_group_entropy(
     zero-count terms skipped — the same fixed-order fold + scalar libm logs
     that make ``lm_nll_worst`` hash-exact, so the float column matches the
     SQL oracle bit for bit.  Rows with a value outside ``groups`` are
-    dropped (visible contract; pass the full domain).  Plan: per-batch
-    (cell, group) collapse → one collapsed-key exchange → per-cell
-    fixed-width pivot + row-local entropy.  Returns ``(cell_id, n,
-    entropy)``.
+    dropped (visible contract; pass the full domain).  Plan: each point's
+    (cell, group ordinal) folds to (cell, group) counts, then the entropy
+    runs once on the driver.  Returns ``(cell_id, n, entropy)`` sorted by
+    cell id.
     """
-    import pandas as pd
 
-    gidx = {g: i for i, g in enumerate(groups)}
-    empty = pa.schema([("cell_id", pa.int64()), ("gi", pa.int64()), ("n", pa.int64())])
+    def cells(batch: pa.Table) -> pa.Table:
+        lin, valid = grid.locate_linear(
+            batch.column("x").to_numpy(zero_copy_only=False), batch.column("y").to_numpy(zero_copy_only=False)
+        )
+        gi = _ordinals(batch.column(group_col), groups)
+        m = valid & (gi >= 0)
+        return pa.table({"cell_id": lin[m], "gi": gi[m]})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        lin, valid = grid.locate_linear(x, y)
-        g = batch.column(group_col).to_pandas().map(gidx)
-        m = valid & g.notna().to_numpy()
-        if not m.any():
-            return empty.empty_table()
-        df = pd.DataFrame({"cell_id": lin[m], "gi": g.to_numpy()[m].astype(np.int64)})
-        out = df.groupby(["cell_id", "gi"], as_index=False, sort=False).size()
-        return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
-
-    out = _entropy_by_key(
-        points_ds.map_batches(partial, batch_format="pyarrow"), "cell_id", len(groups)
-    )
-    return out.sort("cell_id") if sort else out
+    ds = points_ds.map_batches(cells, batch_format="pyarrow")
+    t = keyed_fold(ds, ["cell_id", "gi"], {"n": ("gi", "count")})
+    return _dataset(_entropy_fold(t.cast(_schema("cell_id", "gi", "n")), "cell_id", len(groups)))
 
 
-def choropleth_classes(
-    points_ds, grid: Grid, qs: tuple[float, ...] = (0.25, 0.5, 0.75), sort: bool = True
-):
+def choropleth_classes(points_ds, grid: Grid, qs: tuple[float, ...] = (0.25, 0.5, 0.75)):
     """Quantile-break choropleth classification of the count raster — the
     map-styling step after a heatmap: bucket every populated cell into
     ``len(qs)+1`` classes by EXACT count quantiles (the repo's rank rule:
     the ceil(q·n)-th smallest, ≡ the ``col_quantiles_cont`` oracle).
 
-    Plan: one point scan collapses to the (cell, n) raster; the exact
-    distributed pivot selection finds the break values over that collapsed
-    table (O(log) passes, no sort); the tiny threshold vector broadcasts
-    into a row-local classify.  Returns ``(cell_id, n, cls)``.
+    Plan: one point scan folds to the (cell, n) raster on the driver, where
+    the breaks come from its sorted counts
+    (:func:`~rasterflow.pipelines.sampling.rank_pick`) and every cell is
+    classified.  Returns ``(cell_id, n, cls)`` sorted by cell id.
     """
-    from .cellagg import cell_histogram_grid
-    from .sampling import column_quantiles_select
+    from .sampling import rank_pick
 
-    hist = cell_histogram_grid(points_ds, grid).materialize()
-    th = (
-        column_quantiles_select(hist, "n", qs=qs)
-        .to_pandas()["value"]
-        .to_numpy()
-        .astype(np.float64)
-    )
-
-    def classify(t: pa.Table) -> pa.Table:
-        n = t.column("n").to_numpy(zero_copy_only=False)
-        cls = np.zeros(len(n), dtype=np.int64)
-        for tv in th:
-            cls += n > tv
-        return pa.table({"cell_id": t.column("cell_id"), "n": t.column("n"), "cls": pa.array(cls)})
-
-    out = hist.map_batches(classify, batch_format="pyarrow")
-    return out.sort("cell_id") if sort else out
+    hist = _cell_counts(points_ds, grid).cast(_schema("cell_id", "n"))
+    n = hist.column("n").to_numpy()
+    v, cnt = np.unique(n, return_counts=True)
+    th = v[rank_pick(cnt, np.zeros(min(1, len(v)), dtype=np.int64), qs)].ravel()
+    cls = (n[:, None] > th[None, :]).sum(axis=1, dtype=np.int64)
+    return _dataset(hist.append_column("cls", pa.array(cls)))
 
 
-def adaptive_cells(
-    points_ds, grid: Grid, levels: int = 3, threshold: int = 100, sort: bool = True
-):
+def adaptive_cells(points_ds, grid: Grid, levels: int = 3, threshold: int = 100):
     """Adaptive quadtree tiling (LOD drill-down): emit each populated region
     at the COARSEST resolution that needs no further split — what a map
     server renders when a tile splits only where it is dense.
@@ -734,99 +609,63 @@ def adaptive_cells(
     Counts are monotone up the pyramid, so the whole ancestor chain's
     split-ness is implied by the immediate parent's — no recursion needed.
 
-    Plan: ONE point scan (the pyramid partials), then a single
-    tagged-union hash join of the pyramid against itself on the parent key
-    (``relational.hash_join`` — no driver materialization), then a
-    row-local filter.  Output ``(level, cell_id, n)``.
+    Plan: ONE point scan folds to the pyramid on the driver, sorted by
+    (level, cell); each cell finds its parent's count there by one
+    ``searchsorted``, then the leaf test runs row-local.  Output ``(level,
+    cell_id, n)`` sorted by (level, cell_id).
     """
-    from .relational import hash_join
-
-    pyr = pyramid_histogram(points_ds, grid, levels, sort=False)
-    nx = grid.nx
-    widths = [max(1, -(-nx // (1 << lv))) for lv in range(levels)]
-    warr = np.asarray(widths + [1], dtype=np.int64)  # dummy tail for lv+1 gather
+    t = _pyramid(points_ds, grid, levels)
+    lv, c, n = (col.to_numpy() for col in t.columns)
+    warr = np.asarray(_widths(grid, levels) + [1], dtype=np.int64)  # dummy tail for lv+1 gather
     K = np.int64(grid.ncells + 1)
+    w, wp = warr[lv], warr[lv + 1]
+    parent = (lv + 1) * K + ((c // w) >> 1) * wp + ((c % w) >> 1)
+    sk = lv * K + c  # ascending: the fold sorts by (level, cell_id)
+    i = np.minimum(np.searchsorted(sk, parent), max(len(sk) - 1, 0))
+    split = (lv == levels - 1) | ((sk[i] == parent) & (n[i] > threshold))
+    keep = split & ((n <= threshold) | (lv == 0))
+    return _dataset(t.filter(pa.array(keep)))
 
-    def addkeys(t: pa.Table) -> pa.Table:
-        lv = t.column("level").to_numpy(zero_copy_only=False)
-        c = t.column("cell_id").to_numpy(zero_copy_only=False)
-        w = warr[lv]
-        wp = warr[lv + 1]
-        parent = ((c // w) >> 1) * wp + ((c % w) >> 1)
-        jk = np.where(lv < levels - 1, (lv + 1) * K + parent, np.int64(-1))
-        sk = lv * K + c
-        return t.append_column("jk", pa.array(jk)).append_column("sk", pa.array(sk))
 
-    # two consumers (join left + right projection): materialize the collapsed
-    # pyramid once or the point scan behind it executes twice
-    keyed = pyr.map_batches(addkeys, batch_format="pyarrow").materialize()
-    right = keyed.map_batches(
-        lambda t: pa.table({"jk": t.column("sk"), "n_parent": t.column("n")}),
-        batch_format="pyarrow",
-    )
-    joined = hash_join(
-        keyed, right, on="jk",
-        left_cols=["level", "cell_id", "n"], right_cols=["n_parent"], how="left",
-    )
+def _widths(grid: Grid, levels: int) -> list[int]:
+    """Row width of each pyramid level: ``ceil(nx / 2^l)``."""
+    return [max(1, -(-grid.nx // (1 << lv))) for lv in range(levels)]
 
-    def leaf(t: pa.Table) -> pa.Table:
-        lv = t.column("level").to_numpy(zero_copy_only=False)
-        n = t.column("n").to_numpy(zero_copy_only=False)
-        npar = t.column("n_parent").to_numpy(zero_copy_only=False).astype(np.float64)
-        keep = ((lv == levels - 1) | (npar > threshold)) & ((n <= threshold) | (lv == 0))
-        m = pa.array(keep)
+
+def _pyramid(points_ds, grid: Grid, levels: int) -> pa.Table:
+    """``(level, cell_id, n)`` of :func:`pyramid_histogram`, sorted."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    nx = np.int64(grid.nx)
+    widths = np.asarray(_widths(grid, levels), dtype=np.int64)
+
+    def cells(batch: pa.Table) -> pa.Table:
+        x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+        lin, valid = grid.locate_linear(x, y)
+        iy, ix = np.divmod(lin[valid], nx)
         return pa.table(
             {
-                "level": t.column("level").filter(m),
-                "cell_id": t.column("cell_id").filter(m),
-                "n": t.column("n").filter(m),
+                "level": np.repeat(np.arange(levels, dtype=np.int64), len(iy)),
+                "cell_id": np.concatenate([(iy >> lv) * widths[lv] + (ix >> lv) for lv in range(levels)]),
             }
         )
 
-    out = joined.map_batches(leaf, batch_format="pyarrow")
-    return out.sort(["level", "cell_id"]) if sort else out
+    ds = points_ds.map_batches(cells, batch_format="pyarrow")
+    t = keyed_fold(ds, ["level", "cell_id"], {"n": ("cell_id", "count")})
+    return t.cast(_schema("level", "cell_id", "n"))
 
 
-def pyramid_histogram(points_ds, grid: Grid, levels: int = 3, sort: bool = True):
+def pyramid_histogram(points_ds, grid: Grid, levels: int = 3):
     """Multi-resolution count pyramid over a local canvas grid.
 
     Level 0 is the grid itself; level ``l`` aggregates ``2^l × 2^l`` cell
     blocks, linearized on the level's own ceil-divided width (``row >> l`` ×
     ``ceil(nx / 2^l)`` + ``col >> l``) — the map-tile zoom stack a heatmap
-    server precomputes.  ONE scan of the points: every level is emitted from
-    the same per-batch partial (each already collapsed to unique cells), so a
-    single (level, cell) shuffle finalizes the whole stack."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    nx = grid.nx
-    widths = [max(1, -(-nx // (1 << lv))) for lv in range(levels)]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-        lin, valid = grid.locate_linear(x, y)
-        lin = lin[valid]
-        iy, ix = np.divmod(lin, np.int64(nx))
-        lv_out, cell_out, n_out = [], [], []
-        for lv in range(levels):
-            cl = (iy >> lv) * np.int64(widths[lv]) + (ix >> lv)
-            cells, counts = np.unique(cl, return_counts=True)
-            lv_out.append(np.full(len(cells), lv, dtype=np.int64))
-            cell_out.append(cells)
-            n_out.append(counts.astype(np.int64))
-        return pa.table(
-            {
-                "level": np.concatenate(lv_out) if lv_out else np.empty(0, np.int64),
-                "cell_id": np.concatenate(cell_out) if cell_out else np.empty(0, np.int64),
-                "n": np.concatenate(n_out) if n_out else np.empty(0, np.int64),
-            }
-        )
-
-    partials = points_ds.map_batches(partial, batch_format="pyarrow")
-    out = grouped_aggregate(
-        coalesce_small(partials, 0.25), ["level", "cell_id"], {"n": ("n", "sum")}
-    )
-    return out.sort(["level", "cell_id"]) if sort else out
+    server precomputes.  ONE scan of the points: each point emits its cell
+    at every level and one fold on (level, cell) finalizes the whole stack.
+    Returns ``(level, cell_id, n)`` sorted by (level, cell_id)."""
+    return _dataset(_pyramid(points_ds, grid, levels))
 
 
 def poly_group_entropy(
@@ -837,47 +676,32 @@ def poly_group_entropy(
     how: str = "index",
     accuracy_m: float = 100.0,
     cell_size: float | None = None,
-    sort: bool = True,
 ):
     """Per-ZONE Shannon entropy of a categorical mix — the polygon-keyed
     twin of :func:`cell_group_entropy` (how diverse is each neighborhood).
 
-    The exact matcher classifies each batch; matched pairs collapse to
-    ``(poly_id, group)`` counts in-batch (a point inside two overlapping
-    polygons counts in both — per-zone semantics); one collapsed-key
-    exchange, then the shared fixed-order scalar-log entropy fold.
-    Returns ``(poly_id, n, entropy)``.
+    The exact matcher classifies each batch and every matched (point,
+    polygon) pair emits its (polygon, group ordinal) — a point inside two
+    overlapping polygons counts in both (per-zone semantics); the pairs
+    fold to (polygon, group) counts, then the shared fixed-order
+    scalar-log entropy runs on the driver.  Returns ``(poly_id, n,
+    entropy)`` sorted by polygon id.
     """
-    import pandas as pd
-
     ref = _bundle_ref(layer_or_bundle, accuracy_m, cell_size, 32_000_000)
     key = ("pentropy", ref.hex(), how)
-    gidx = {g: i for i, g in enumerate(groups)}
-    empty = pa.schema([("poly_id", pa.int32()), ("gi", pa.int64()), ("n", pa.int64())])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pairs(batch: pa.Table) -> pa.Table:
         agg = worker_memo(key, lambda: SpatialJoinAgg(ref, how=how))
         x = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         y = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         lin, valid = agg.b.grid.locate_linear(x, y)
         vidx = np.flatnonzero(valid)
-        if len(vidx) == 0:
-            return empty.empty_table()
         pts, pl = agg._match_pairs(x[vidx], y[vidx], lin[vidx])
-        if len(pts) == 0:
-            return empty.empty_table()
-        g = batch.column(group_col).to_pandas().map(gidx).to_numpy()
-        gp = g[vidx[pts]]
-        m = ~pd.isna(gp)
-        if not m.any():
-            return empty.empty_table()
-        df = pd.DataFrame({"poly_id": pl[m].astype(np.int32), "gi": gp[m].astype(np.int64)})
-        out = df.groupby(["poly_id", "gi"], as_index=False, sort=False).size()
-        return pa.Table.from_pandas(out.rename(columns={"size": "n"}), preserve_index=False)
+        gi = _ordinals(batch.column(group_col), groups)[vidx[pts]]
+        m = gi >= 0
+        return pa.table({"poly_id": pl[m].astype(np.int32), "gi": gi[m]})
 
-    out = _entropy_by_key(
-        points_ds.map_batches(partial, batch_format="pyarrow", batch_size=JOIN_BATCH_ROWS),
-        "poly_id",
-        len(groups),
-    )
-    return out.sort("poly_id") if sort else out
+    ds = points_ds.map_batches(pairs, batch_format="pyarrow", batch_size=JOIN_BATCH_ROWS)
+    t = keyed_fold(ds, ["poly_id", "gi"], {"n": ("gi", "count")})
+    t = t.cast(_schema(("poly_id", pa.int32()), "gi", "n"))
+    return _dataset(_entropy_fold(t, "poly_id", len(groups)))

@@ -332,7 +332,7 @@ def main() -> int:
                 raise SystemExit("--pipeline zonal requires --value-col")
             return zonal_stats(
                 pts, layer, value_col=args.value_col, how="index",
-                accuracy_m=args.accuracy_m, sort=False,
+                accuracy_m=args.accuracy_m,
             )
         # partitions keep raw (count, sum) partials; avg is computed in the
         # final combine so partition outputs stay mergeable

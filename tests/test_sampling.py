@@ -434,7 +434,7 @@ def test_group_rank_transform_null_group_or_value_gets_null_rank(ray_session):
 
 def test_group_gini_and_mad_sorted_without_sort(ray_session, monkeypatch):
     """Both build their one-block result on the driver in group order, so
-    ``sort=True`` needs no Sort all-to-all."""
+    the result comes sorted without a Sort all-to-all."""
     import ray.data
 
     from rasterflow.pipelines.sampling import group_gini, group_mad
@@ -447,5 +447,5 @@ def test_group_gini_and_mad_sorted_without_sort(ray_session, monkeypatch):
     ds = ray.data.from_pandas(df).repartition(3)
     monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
     for fn in (group_gini, group_mad):
-        got = fn(ds, "n_chars", "lang", sort=True).to_pandas()
+        got = fn(ds, "n_chars", "lang").to_pandas()
         assert got["lang"].tolist() == ["a", "b", "c", "d"]

@@ -93,10 +93,6 @@ def test_cell_trend_matches_dense_least_squares(ray_session):
     import ray.data
 
     df = _geo_pts()
-    got = cell_trend(
-        ray.data.from_pandas(df).repartition(6), GRID, buckets=8, min_points=5
-    ).to_pandas()
-
     w = TS_SPAN // 8
     ref = df.copy()
     ref["b"] = ((ref["doc_id"] * 137) % TS_SPAN) // w
@@ -114,7 +110,11 @@ def test_cell_trend_matches_dense_least_squares(ray_session):
     exp = pd.DataFrame(rows, columns=["cell_id", "n", "trend_num"]).sort_values(
         "cell_id"
     ).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    for parts in (1, 7):
+        got = cell_trend(
+            ray.data.from_pandas(df).repartition(parts), GRID, buckets=8, min_points=5
+        ).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_cell_top_terms_matches_pandas(ray_session):
@@ -301,11 +301,6 @@ def test_buffered_polygon_counts_matches_brute(ray_session):
     import ray.data
 
     d = 0.4
-    got = buffered_polygon_counts(
-        ray.data.from_pandas(df).repartition(5), layer, layer, buffer_dist=d,
-        how="index", cell_size=0.25,
-    ).to_pandas()
-
     exp = []
     for pid, ring in enumerate(rings):
         n = sum(
@@ -316,7 +311,12 @@ def test_buffered_polygon_counts_matches_brute(ray_session):
         if n:
             exp.append((pid, n))
     exp = pd.DataFrame(exp, columns=["poly_id", "n_buffer"])
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    for parts in (1, 7):
+        got = buffered_polygon_counts(
+            ray.data.from_pandas(df).repartition(parts), layer, layer, buffer_dist=d,
+            how="index", cell_size=0.25,
+        ).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_hotspot_evolution_matches_brute(ray_session):
@@ -324,10 +324,6 @@ def test_hotspot_evolution_matches_brute(ray_session):
 
     df = _geo_pts(4000, seed=13)
     import ray.data
-
-    got = hotspot_evolution(
-        ray.data.from_pandas(df).repartition(7), GRID, min_count=8
-    ).to_pandas()
 
     w = TS_SPAN // 8
     b = ((df["doc_id"] * 137) % TS_SPAN) // w
@@ -349,7 +345,9 @@ def test_hotspot_evolution_matches_brute(ray_session):
             "status": status,
         }
     ).sort_values("cell_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    for parts in (1, 7):
+        got = hotspot_evolution(ray.data.from_pandas(df).repartition(parts), GRID, min_count=8).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_dbscan_matches_reference(ray_session):

@@ -7,10 +7,18 @@ import pytest
 
 from rasterflow.geom.cells import Grid
 from rasterflow.geom.polyio import rect_layer
+from rasterflow.pipelines.cellagg import focal_majority
 from rasterflow.pipelines.zonal import (
+    adaptive_cells,
+    buffered_polygon_counts,
+    cell_group_entropy,
+    cell_trend,
+    choropleth_classes,
     distance_to_boundary,
     group_spatial_profile,
+    hotspot_evolution,
     nearest_site_counts,
+    poly_group_entropy,
     pyramid_histogram,
     smallest_k,
     spatial_anti_join,
@@ -44,16 +52,24 @@ def _member(df):
     return m
 
 
-@pytest.fixture(scope="module")
-def pts_ds(ray_session):
+#: block counts the folded results must not depend on
+PARTS = (1, 7)
+
+
+def _parts(df: pd.DataFrame) -> dict:
     import ray.data
 
-    return ray.data.from_pandas(_points()).repartition(7)
+    return {n: ray.data.from_pandas(df).repartition(n) for n in PARTS}
+
+
+@pytest.fixture(scope="module")
+def pts_ds(ray_session):
+    """The test points in 1 and in 7 blocks."""
+    return _parts(_points())
 
 
 def test_zonal_stats_brute(ray_session, pts_ds):
     layer = rect_layer("z", RECTS)
-    got = zonal_stats(pts_ds, layer, value_col="v", how="index", cell_size=0.5).to_pandas()
     df = _points()
     m = _member(df)
     exp = []
@@ -62,23 +78,21 @@ def test_zonal_stats_brute(ray_session, pts_ds):
         if len(vv):
             exp.append((j, len(vv), vv.sum(), vv.min(), vv.max()))
     exp = pd.DataFrame(exp, columns=["poly_id", "count", "sum", "min", "max"])
-    assert got["poly_id"].tolist() == exp["poly_id"].tolist()
-    assert got["count"].tolist() == exp["count"].tolist()
-    np.testing.assert_array_equal(got["sum"].values, exp["sum"].values)
-    np.testing.assert_array_equal(got["min"].values, exp["min"].values)
-    np.testing.assert_array_equal(got["max"].values, exp["max"].values)
+    for ds in pts_ds.values():
+        got = zonal_stats(ds, layer, value_col="v", how="index", cell_size=0.5).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False, check_exact=True)
 
 
 def test_zonal_stats_hybrid_matches_index(ray_session, pts_ds):
     layer = rect_layer("z", RECTS)
-    a = zonal_stats(pts_ds, layer, value_col="v", how="index", cell_size=0.5).to_pandas()
-    b = zonal_stats(pts_ds, layer, value_col="v", how="hybrid", cell_size=0.5).to_pandas()
+    a = zonal_stats(pts_ds[7], layer, value_col="v", how="index", cell_size=0.5).to_pandas()
+    b = zonal_stats(pts_ds[7], layer, value_col="v", how="hybrid", cell_size=0.5).to_pandas()
     pd.testing.assert_frame_equal(a, b)
 
 
 def test_spatial_anti_join_brute(ray_session, pts_ds):
     layer = rect_layer("z", RECTS)
-    got = spatial_anti_join(pts_ds, layer, how="index", cell_size=0.5).to_pandas()
+    got = spatial_anti_join(pts_ds[7], layer, how="index", cell_size=0.5).to_pandas()
     df = _points()
     exp_ids = df.doc_id.values[~_member(df).any(axis=1)]
     assert sorted(got["doc_id"].tolist()) == sorted(exp_ids.tolist())
@@ -88,7 +102,6 @@ def test_spatial_anti_join_brute(ray_session, pts_ds):
 
 def test_nearest_site_counts_brute(ray_session, pts_ds):
     sites = np.array([(1.0, 1.0), (5.0, 5.0), (9.0, 1.0), (5.0, 5.0)])  # dup site: tie -> lower id
-    got = nearest_site_counts(pts_ds, sites).to_pandas()
     df = _points()
     dx = df.x.values[:, None] - sites[None, :, 0]
     dy = df.y.values[:, None] - sites[None, :, 1]
@@ -97,16 +110,17 @@ def test_nearest_site_counts_brute(ray_session, pts_ds):
     assert 3 not in a  # exact-dup site never wins a tie
     exp_counts = np.bincount(a, minlength=len(sites))
     touched = np.flatnonzero(exp_counts)
-    assert got["site_id"].tolist() == touched.tolist()
-    assert got["count"].tolist() == exp_counts[touched].tolist()
     dmin = d2[np.arange(len(df)), a]
-    for sid, mn in zip(got["site_id"], got["min_d2"]):
-        assert mn == dmin[a == sid].min()
+    exp = pd.DataFrame(
+        {"site_id": touched, "count": exp_counts[touched], "min_d2": [dmin[a == s].min() for s in touched]}
+    )
+    for ds in pts_ds.values():
+        got = nearest_site_counts(ds, sites).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False, check_exact=True)
 
 
 def test_group_spatial_profile_brute(ray_session, pts_ds):
     grid = Grid.from_bounds(0.0, 0.0, 10.0, 10.0, 1.0)
-    got = group_spatial_profile(pts_ds, grid, "lang").to_pandas()
     df = _points()
     lin, valid = grid.locate_linear(df.x.values, df.y.values)
     d = df[valid].assign(cell=lin[valid])
@@ -122,24 +136,26 @@ def test_group_spatial_profile_brute(ray_session, pts_ds):
         )
         .reset_index()
     )
-    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+    for ds in pts_ds.values():
+        got = group_spatial_profile(ds, grid, "lang").to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_pyramid_histogram_levels(ray_session, pts_ds):
     grid = Grid.from_bounds(0.0, 0.0, 10.0, 10.0, 1.0)  # 10x10, widths 10/5/3
-    got = pyramid_histogram(pts_ds, grid, levels=3).to_pandas()
     df = _points()
     lin, valid = grid.locate_linear(df.x.values, df.y.values)
     lin = lin[valid]
     iy, ix = np.divmod(lin, grid.nx)
-    n_in = len(lin)
+    exp = []
     for lv, w in [(0, 10), (1, 5), (2, 3)]:
-        sub = got[got["level"] == lv]
-        assert sub["n"].sum() == n_in
-        cl = (iy >> lv) * w + (ix >> lv)
-        cells, counts = np.unique(cl, return_counts=True)
-        assert sub["cell_id"].tolist() == cells.tolist()
-        assert sub["n"].tolist() == counts.tolist()
+        cells, counts = np.unique((iy >> lv) * w + (ix >> lv), return_counts=True)
+        assert counts.sum() == len(lin)
+        exp.append(pd.DataFrame({"level": lv, "cell_id": cells, "n": counts}))
+    exp = pd.concat(exp, ignore_index=True)
+    for ds in pts_ds.values():
+        got = pyramid_histogram(ds, grid, levels=3).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def _rect_boundary_d2(px, py, rect):
@@ -157,7 +173,7 @@ def _rect_boundary_d2(px, py, rect):
 def test_distance_to_boundary_analytic(ray_session, pts_ds):
     layer = rect_layer("z", RECTS)
     got = (
-        distance_to_boundary(pts_ds, layer, out_col="d2")
+        distance_to_boundary(pts_ds[7], layer, out_col="d2")
         .select_columns(["doc_id", "d2"])
         .to_pandas()
         .sort_values("doc_id")
@@ -185,7 +201,7 @@ def test_raster_gradient_brute(ray_session, pts_ds):
     from rasterflow.pipelines.cellagg import raster_gradient
 
     grid = Grid.from_bounds(0.0, 0.0, 10.0, 10.0, 1.0)
-    got = raster_gradient(pts_ds, grid).to_pandas()
+    got = raster_gradient(pts_ds[7], grid).to_pandas()
     # dense brute force: counts raster + explicit Sobel correlation
     df = _points()
     lin, valid = grid.locate_linear(df.x.values, df.y.values)
@@ -324,6 +340,8 @@ def test_adaptive_cells_partition_of_mass(ray_session):
     T = 40
     ds = ray.data.from_pandas(df).repartition(4)
     got = adaptive_cells(ds, grid, levels=3, threshold=T).to_pandas()
+    for other in _parts(df).values():
+        pd.testing.assert_frame_equal(adaptive_cells(other, grid, levels=3, threshold=T).to_pandas(), got)
     assert got["n"].sum() == len(pts)  # partition of mass
     assert (got["level"] == 0).any() and (got["level"] == 2).any()
     # any emitted non-finest cell fits the threshold
@@ -352,7 +370,6 @@ def test_adaptive_cells_partition_of_mass(ray_session):
 def test_choropleth_classes_matches_rank_rule(ray_session):
     import numpy as np
     import pandas as pd
-    import ray.data
 
     from rasterflow.geom.cells import Grid
     from rasterflow.pipelines.zonal import choropleth_classes
@@ -368,8 +385,6 @@ def test_choropleth_classes_matches_rank_rule(ray_session):
         }
     )
     df = df[df["x"] < 8.0]
-    got = choropleth_classes(ray.data.from_pandas(df).repartition(4), grid).to_pandas()
-
     lin = (df["y"] // 1.0).astype(np.int64) * grid.nx + (df["x"] // 1.0).astype(np.int64)
     cnt = pd.Series(lin).value_counts().sort_index()
     n = cnt.to_numpy()
@@ -377,7 +392,9 @@ def test_choropleth_classes_matches_rank_rule(ray_session):
     th = [sv[max(1, int(np.ceil(q * len(sv)))) - 1] for q in (0.25, 0.5, 0.75)]
     cls = sum((n > t).astype(np.int64) for t in th)
     exp = pd.DataFrame({"cell_id": cnt.index.to_numpy(), "n": n, "cls": cls})
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp.reset_index(drop=True), check_dtype=False)
+    for ds in _parts(df).values():
+        got = choropleth_classes(ds, grid).to_pandas()
+        pd.testing.assert_frame_equal(got, exp.reset_index(drop=True), check_dtype=False)
     assert got["cls"].nunique() >= 3
 
 
@@ -386,7 +403,6 @@ def test_cell_group_entropy_matches_scipy_free_brute(ray_session):
 
     import numpy as np
     import pandas as pd
-    import ray.data
 
     from rasterflow.geom.cells import Grid
     from rasterflow.pipelines.zonal import cell_group_entropy
@@ -401,10 +417,6 @@ def test_cell_group_entropy_matches_scipy_free_brute(ray_session):
             "lang": rng.choice(["de", "en", "es", "fr", "zh", "xx"], n),  # xx dropped
         }
     )
-    got = cell_group_entropy(
-        ray.data.from_pandas(df).repartition(5), grid
-    ).to_pandas()
-
     lin = (df["y"] // 1.0).astype(np.int64) * grid.nx + (df["x"] // 1.0).astype(np.int64)
     ref = pd.DataFrame({"cell_id": lin, "lang": df["lang"]})
     ref = ref[ref["lang"] != "xx"]
@@ -422,7 +434,9 @@ def test_cell_group_entropy_matches_scipy_free_brute(ray_session):
     exp = pd.DataFrame(rows, columns=["cell_id", "n", "entropy"]).sort_values(
         "cell_id"
     ).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    for ds in _parts(df).values():
+        got = cell_group_entropy(ds, grid).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
     # uniform 5-way mix tops out at ln(5)
     assert (got["entropy"] <= math.log(5) + 1e-12).all()
 
@@ -432,7 +446,6 @@ def test_poly_group_entropy_matches_brute(ray_session):
 
     import numpy as np
     import pandas as pd
-    import ray.data
 
     from rasterflow.geom.polyio import rect_layer
     from rasterflow.pipelines.zonal import poly_group_entropy
@@ -448,10 +461,6 @@ def test_poly_group_entropy_matches_brute(ray_session):
         }
     )
     layer = rect_layer("pe", RECTS)
-    got = poly_group_entropy(
-        ray.data.from_pandas(df).repartition(5), layer, how="index", cell_size=0.5
-    ).to_pandas()
-
     mem = _member(df)  # (n, k) half-open rect membership
     rows = []
     for pid in range(mem.shape[1]):
@@ -468,7 +477,9 @@ def test_poly_group_entropy_matches_brute(ray_session):
                 e = e + -(p * math.log(p))
         rows.append((pid, tot, e))
     exp = pd.DataFrame(rows, columns=["poly_id", "n", "entropy"])
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    for ds in _parts(df).values():
+        got = poly_group_entropy(ds, layer, how="index", cell_size=0.5).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_extract_raster_at_points(ray_session):
@@ -502,7 +513,6 @@ def test_extract_raster_at_points(ray_session):
 def test_focal_majority_matches_brute(ray_session):
     import numpy as np
     import pandas as pd
-    import ray.data
 
     from rasterflow.geom.cells import Grid
     from rasterflow.pipelines.cellagg import focal_majority
@@ -517,8 +527,6 @@ def test_focal_majority_matches_brute(ray_session):
             "lang": rng.choice(["de", "en", "es", "fr", "zh"], n, p=[0.1, 0.4, 0.2, 0.2, 0.1]),
         }
     )
-    got = focal_majority(ray.data.from_pandas(df).repartition(4), grid).to_pandas()
-
     langs = ("de", "en", "es", "fr", "zh")
     lin = (df["y"] // 1.0).astype(np.int64) * grid.nx + (df["x"] // 1.0).astype(np.int64)
     dense = np.zeros((grid.ncells, len(langs)), dtype=np.int64)
@@ -538,7 +546,9 @@ def test_focal_majority_matches_brute(ray_session):
         w = int(np.argmax(tot))  # argmax first-occurrence = lexicographic tie
         rows.append((cid, langs[w], int(tot[w])))
     exp = pd.DataFrame(rows, columns=["cell_id", "lang", "n_maj"])
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), exp, check_dtype=False)
+    for ds in _parts(df).values():
+        got = focal_majority(ds, grid).to_pandas()
+        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
 def test_coverage_gaps_matches_brute(ray_session):
@@ -571,3 +581,69 @@ def test_coverage_gaps_matches_brute(ray_session):
             exp.append(cid)
     assert got["cell_id"].tolist() == exp
     assert len(exp) > 0
+
+
+
+_GRID = Grid.from_bounds(0.0, 0.0, 10.0, 10.0, 1.0)
+_LAYER = rect_layer("z", RECTS)
+#: name -> (call on points that all miss its grid or layer, its columns);
+#: string columns named in _STRINGS, every other column int or float
+_EMPTY_CASES = {
+    "zonal_stats": (
+        lambda ds: zonal_stats(ds, _LAYER, value_col="v", how="index", cell_size=0.5),
+        ["poly_id", "count", "sum", "min", "max"],
+    ),
+    # every point has a nearest site: no points at all
+    "nearest_site_counts": (
+        lambda ds: nearest_site_counts(ds.limit(0), np.array([(1.0, 1.0)])),
+        ["site_id", "count", "min_d2"],
+    ),
+    "buffered_polygon_counts": (
+        lambda ds: buffered_polygon_counts(ds, _LAYER, _LAYER, buffer_dist=0.5, cell_size=0.5),
+        ["poly_id", "n_buffer"],
+    ),
+    "group_spatial_profile": (
+        lambda ds: group_spatial_profile(ds, _GRID, "lang"),
+        ["lang", "n_points", "n_cells", "min_x", "max_x", "min_y", "max_y"],
+    ),
+    "pyramid_histogram": (lambda ds: pyramid_histogram(ds, _GRID, levels=3), ["level", "cell_id", "n"]),
+    "adaptive_cells": (lambda ds: adaptive_cells(ds, _GRID, levels=3, threshold=5), ["level", "cell_id", "n"]),
+    "choropleth_classes": (lambda ds: choropleth_classes(ds, _GRID), ["cell_id", "n", "cls"]),
+    "hotspot_evolution": (
+        lambda ds: hotspot_evolution(ds, _GRID, min_count=1),
+        ["cell_id", "n_early", "n_late", "status"],
+    ),
+    "cell_trend": (lambda ds: cell_trend(ds, _GRID, min_points=1), ["cell_id", "n", "trend_num"]),
+    "cell_group_entropy": (
+        lambda ds: cell_group_entropy(ds, _GRID, groups=("a", "b")), ["cell_id", "n", "entropy"]
+    ),
+    "poly_group_entropy": (
+        lambda ds: poly_group_entropy(ds, _LAYER, groups=("a", "b"), how="index", cell_size=0.5),
+        ["poly_id", "n", "entropy"],
+    ),
+    "focal_majority": (
+        lambda ds: focal_majority(ds, _GRID, groups=("a", "b")), ["cell_id", "lang", "n_maj"]
+    ),
+}
+_STRINGS = {"status", "lang"}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_CASES))
+def test_folded_operators_type_an_empty_result(ray_session, name):
+    """Points that all miss the grid or layer: the result keeps its column
+    names and types (no null types), though no block reaches the fold."""
+    import ray.data
+
+    df = pd.DataFrame({"doc_id": [1, 2, 3], "x": [50.0, -40.0, 20.0], "y": [50.0, 30.0, -20.0]})
+    df = df.assign(v=[1.0, 2.0, 3.0], lang=["a", "b", "a"])
+    ds = ray.data.from_pandas(df).map_batches(lambda b: b, batch_format="pyarrow")  # schema unknown
+    call, cols = _EMPTY_CASES[name]
+    out = call(ds)
+    schema = out.schema()
+    assert out.count() == 0
+    assert schema.names == cols
+    for c, t in zip(schema.names, schema.types):
+        if c == "lang" and name == "group_spatial_profile":
+            continue  # a group key's type comes from input rows, and none arrived
+        ok = pa.types.is_string(t) if c in _STRINGS else pa.types.is_integer(t) or pa.types.is_floating(t)
+        assert ok, (c, t)
